@@ -116,7 +116,16 @@ def enumerate_trees(n: int, k: int) -> list[BinaryTree]:
     """All trees with n-2 leaves of which exactly k+1 are horizontal children."""
     if n < 4 or k < 0 or k > n - 4:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
-    return [t for t in _tree_shapes(n - 2) if t.horizontal_leaf_count() == k + 1]
+    return list(_shapes_by_horizontal_leaves(n - 2).get(k + 1, ()))
+
+
+@lru_cache(maxsize=None)
+def _shapes_by_horizontal_leaves(leaves: int) -> dict[int, tuple[BinaryTree, ...]]:
+    """The shapes with the given leaf count, grouped by horizontal leaves."""
+    buckets: dict[int, list[BinaryTree]] = {}
+    for t in _tree_shapes(leaves):
+        buckets.setdefault(t.horizontal_leaf_count(), []).append(t)
+    return {h: tuple(ts) for h, ts in buckets.items()}
 
 
 def _collapse_first(tree: BinaryTree) -> tuple[BinaryTree, int]:
@@ -289,42 +298,11 @@ def _words_recursive(t: BinaryTree) -> tuple[str, str]:
     return "H" + au + "V" + bu, al + "H" + "V" + bl
 
 
-def _words_readoff(tree: BinaryTree) -> tuple[str, str]:
-    # upper word: internal edges in preorder, horizontal child first
-    upper: list[str] = []
-
-    def walk(t: BinaryTree) -> None:
-        if not t.horizontal.is_leaf:
-            upper.append("H")
-            walk(t.horizontal)
-        if not t.vertical.is_leaf:
-            upper.append("V")
-            walk(t.vertical)
-
-    walk(tree)
-    # lower word: leaves in label order, first and last dropped; a leaf
-    # contributes V when it is a horizontal child, H when vertical
-    lower: list[str] = []
-
-    def leaves(t: BinaryTree) -> None:
-        for child, letter in ((t.horizontal, "V"), (t.vertical, "H")):
-            if child.is_leaf:
-                lower.append(letter)
-            else:
-                leaves(child)
-
-    leaves(tree)
-    return "".join(upper), "".join(lower[1:-1])
-
-
 def omega_TL(tree: BinaryTree) -> PathPair:
-    """Word pair of a tree; the recursion and the read-off must agree."""
+    """Word pair of a tree, built by recursion on its two subtrees."""
     if tree.is_leaf:
         raise BadRange("a bare leaf corresponds to no path pair")
-    rec = _words_recursive(tree)
-    off = _words_readoff(tree)
-    assert rec == off, f"recursive words {rec} disagree with read-off {off}"
-    return PathPair(*rec)
+    return PathPair(*_words_recursive(tree))
 
 
 # ----------------------------------------------------------------------

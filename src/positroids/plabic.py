@@ -9,6 +9,7 @@ vertex lists its incident half-edges in clockwise order.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -42,14 +43,20 @@ class PlabicGraph:
                 raise ValueError("internal vertices must use negative ids")
             if color not in (BLACK, WHITE):
                 raise ValueError(f"bad color {color!r}")
-        incident: dict[int, list[int]] = {}
-        for j in range(len(self.edges)):
-            a, b = self.edges[j]
-            incident.setdefault(a, []).append(2 * j)
-            incident.setdefault(b, []).append(2 * j + 1)
-        for v, halves in incident.items():
-            if sorted(self.rotation.get(v, ())) != sorted(halves):
-                raise ValueError(f"rotation at {v} does not match its half-edges")
+        # position of each half-edge in its vertex's rotation; -1 = unlisted
+        edges = self.edges
+        pos = [-1] * (2 * len(edges))
+        for v, halves in self.rotation.items():
+            if not (1 <= v <= self.n or v in self.colors):
+                raise ValueError(f"vertex {v} is neither boundary nor colored")
+            for at, h in enumerate(halves):
+                if not 0 <= h < len(pos) or pos[h] >= 0 or edges[h >> 1][h & 1] != v:
+                    raise ValueError(f"rotation at {v} does not match its half-edges")
+                pos[h] = at
+        if -1 in pos:
+            v = self.vertex_of(pos.index(-1))
+            raise ValueError(f"rotation at {v} does not match its half-edges")
+        object.__setattr__(self, "_pos", pos)
         for v in self.colors:
             if v not in self.rotation:
                 raise ValueError(f"internal vertex {v} is isolated")
@@ -84,47 +91,45 @@ class PlabicGraph:
         """Serialization invariant under renaming of internal vertices.
 
         Breadth-first from each unvisited boundary vertex in label
-        order, expanding neighbors clockwise from the arrival half-edge,
-        so isomorphic embeddings relabel identically.
+        order; internal vertices are numbered n+1, n+2, ... as they are
+        discovered.  The form is (n, records) with one (color, neighbors)
+        record per vertex in visiting order: the color is None on the
+        boundary, and the neighbors' numbers run clockwise from the
+        half-edge the vertex was reached by, so isomorphic embeddings
+        give identical forms.
         """
         if self._canon is not None:
             return self._canon
+        edges, rotation, colors, pos = self.edges, self.rotation, self.colors, self._pos
         canon: dict[int, int] = {}
-        arrival: dict[int, int] = {}
+        records = []
         next_id = self.n
         for b in range(1, self.n + 1):
             if b in canon:
                 continue
             canon[b] = b
-            arrival[b] = self.rotation[b][0]
-            queue = [b]
+            queue = deque([(b, rotation[b][0])])
             while queue:
-                v = queue.pop(0)
-                halves = self.rotation[v]
-                at = halves.index(arrival[v])
+                v, arrival = queue.popleft()
+                halves = rotation[v]
+                at = pos[arrival]
+                cycle = []
                 for h in halves[at:] + halves[:at]:
-                    u = self.vertex_of(self.partner(h))
-                    if u not in canon:
+                    u = edges[h >> 1][(h & 1) ^ 1]
+                    c = canon.get(u)
+                    if c is None:
                         if u < 0:
                             next_id += 1
-                            canon[u] = next_id
+                            c = next_id
                         else:
-                            canon[u] = u
-                        arrival[u] = self.partner(h)
-                        queue.append(u)
-        if len(canon) < len(self.rotation):
+                            c = u
+                        canon[u] = c
+                        queue.append((u, h ^ 1))
+                    cycle.append(c)
+                records.append((colors.get(v), tuple(cycle)))
+        if len(canon) < len(rotation):
             raise ValueError("graph has a component without boundary vertices")
-        colors = tuple(sorted((canon[v], c) for v, c in self.colors.items()))
-        edges = tuple(
-            sorted(tuple(sorted((canon[a], canon[b]))) for a, b in self.edges)
-        )
-        rotations = []
-        for v in self.colors:
-            cycle = tuple(
-                canon[self.vertex_of(self.partner(h))] for h in self.rotation[v]
-            )
-            rotations.append((canon[v], _min_cyclic(cycle)))
-        form = (self.n, colors, edges, tuple(sorted(rotations)))
+        form = (self.n, tuple(records))
         object.__setattr__(self, "_canon", form)
         return form
 
@@ -230,17 +235,11 @@ class PlabicGraph:
         return "".join(parts)
 
 
-def _min_cyclic(cycle: tuple) -> tuple:
-    if not cycle:
-        return cycle
-    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
-
-
 def _bfs_depth(g: PlabicGraph) -> dict[int, int]:
     depth = {b: 0 for b in range(1, g.n + 1)}
-    queue = list(depth)
+    queue = deque(depth)
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for u in g.neighbors(v):
             if u not in depth:
                 depth[u] = depth[v] + 1
@@ -272,7 +271,7 @@ def trip_permutation(graph: PlabicGraph) -> DecoratedPermutation:
                 end = v
                 break
             halves = graph.rotation[v]
-            at = halves.index(arriving)
+            at = graph._pos[arriving]
             step = -1 if graph.colors[v] == BLACK else 1
             cur = halves[(at + step) % len(halves)]
         images.append(end)
@@ -302,14 +301,9 @@ def k_statistic(graph: PlabicGraph) -> int:
 
 def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[list, dict, dict]:
     """Shift boundary labels above i up by one; returns mutable copies."""
-
-    def mapv(v: int) -> int:
-        return v + 1 if v > i else v
-
-    edges = [(mapv(a), mapv(b)) for a, b in graph.edges]
-    rotation = {mapv(v): list(h) for v, h in graph.rotation.items()}
-    colors = dict(graph.colors)
-    return edges, rotation, colors
+    edges = [(a + (a > i), b + (b > i)) for a, b in graph.edges]
+    rotation = {v + (v > i): h for v, h in graph.rotation.items()}
+    return edges, rotation, dict(graph.colors)
 
 
 def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
@@ -334,11 +328,17 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     edges.append((v_new, i))
     edges.append((v_new, i + 1))
     h_far = graph.partner(h_i)
-    rotation[far][rotation[far].index(h_far)] = 2 * base
-    rotation[v_new] = [2 * base + 1, 2 * (base + 1), 2 * (base + 2)]
-    rotation[i] = [2 * (base + 1) + 1]
-    rotation[i + 1] = [2 * (base + 2) + 1]
-    return _compact(graph.n + 1, colors, edges, rotation, drop={old_edge})
+    rotation[far] = tuple(2 * base if h == h_far else h for h in rotation[far])
+    rotation[v_new] = (2 * base + 1, 2 * (base + 1), 2 * (base + 2))
+    rotation[i] = (2 * (base + 1) + 1,)
+    rotation[i + 1] = (2 * (base + 2) + 1,)
+    # drop the old boundary edge: later edges move down one, halves by two
+    del edges[old_edge]
+    rotation = {
+        v: tuple(h - 2 if h > 2 * old_edge else h for h in halves)
+        for v, halves in rotation.items()
+    }
+    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
 
 
 def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
@@ -356,7 +356,7 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     if v > 0 or graph.degree(v) != 3:
         raise BadAttachment(f"boundary {i} is not attached to a trivalent vertex")
     halves = graph.rotation[v]
-    at = halves.index(graph.partner(h_i))
+    at = graph._pos[graph.partner(h_i)]
     h_to_e, h_to_f = halves[(at + 1) % 3], halves[(at + 2) % 3]
     edge_e, edge_f, edge_i = h_to_e // 2, h_to_f // 2, h_i // 2
 
@@ -367,7 +367,8 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     a, b, c, d = low, low - 1, low - 2, low - 3
     colors.update({a: BLACK, b: WHITE, c: BLACK, d: WHITE})
 
-    # rewriting ends in place keeps half-edge ids valid at far endpoints
+    # rewriting ends in place keeps half-edge ids valid at far endpoints,
+    # so no edge is renumbered
     edges[edge_e] = _swap_end(edges[edge_e], h_to_e % 2, a)
     edges[edge_f] = _swap_end(edges[edge_f], h_to_f % 2, b)
     edges[edge_i] = _swap_end(edges[edge_i], graph.partner(h_i) % 2, c)
@@ -377,31 +378,18 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     edges.append((c, d))
     edges.append((d, a))
     edges.append((d, i + 1))
-    rotation[a] = [h_to_e, 2 * base, 2 * (base + 3) + 1]
-    rotation[b] = [h_to_f, 2 * (base + 1), 2 * base + 1]
-    rotation[c] = [2 * (base + 1) + 1, graph.partner(h_i), 2 * (base + 2)]
-    rotation[d] = [2 * (base + 3), 2 * (base + 2) + 1, 2 * (base + 4)]
-    rotation[i + 1] = [2 * (base + 4) + 1]
-    return _compact(graph.n + 1, colors, edges, rotation, drop=set())
+    rotation[a] = (h_to_e, 2 * base, 2 * (base + 3) + 1)
+    rotation[b] = (h_to_f, 2 * (base + 1), 2 * base + 1)
+    rotation[c] = (2 * (base + 1) + 1, graph.partner(h_i), 2 * (base + 2))
+    rotation[d] = (2 * (base + 3), 2 * (base + 2) + 1, 2 * (base + 4))
+    rotation[i + 1] = (2 * (base + 4) + 1,)
+    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
 
 
 def _swap_end(edge: tuple[int, int], side: int, v: int) -> tuple[int, int]:
     ends = list(edge)
     ends[side] = v
     return (ends[0], ends[1])
-
-
-def _compact(
-    n: int, colors: dict, edges: list, rotation: dict, drop: set
-) -> PlabicGraph:
-    keep = [j for j in range(len(edges)) if j not in drop]
-    remap = {j: jj for jj, j in enumerate(keep)}
-    new_edges = tuple(edges[j] for j in keep)
-    new_rotation = {
-        v: tuple(2 * remap[h // 2] + h % 2 for h in halves)
-        for v, halves in rotation.items()
-    }
-    return PlabicGraph(n, colors, new_edges, new_rotation)
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,59 @@ def catalan_number(a: int) -> int:
     return math.comb(2 * a, a) // (a + 1)
 
 
+def all_trees(leaves: int) -> list:
+    """Every tree shape: split point, then horizontal, then vertical shape."""
+    if leaves == 1:
+        return [LEAF]
+    return [
+        BinaryTree(h, v)
+        for left in range(1, leaves)
+        for h in all_trees(left)
+        for v in all_trees(leaves - left)
+    ]
+
+
+def horizontal_leaves(t: BinaryTree) -> int:
+    """Leaves that are the horizontal child of their parent."""
+    if t.is_leaf:
+        return 0
+    return (
+        (1 if t.horizontal.is_leaf else horizontal_leaves(t.horizontal))
+        + (0 if t.vertical.is_leaf else horizontal_leaves(t.vertical))
+    )
+
+
+def words_readoff(tree: BinaryTree) -> tuple[str, str]:
+    """The tree's word pair read off directly, without recursion on pairs.
+
+    Upper word: internal edges in preorder, horizontal child first.  Lower
+    word: leaves in label order, first and last dropped; a leaf gives V
+    when it is a horizontal child, H when vertical.
+    """
+    upper: list[str] = []
+
+    def walk(t: BinaryTree) -> None:
+        if not t.horizontal.is_leaf:
+            upper.append("H")
+            walk(t.horizontal)
+        if not t.vertical.is_leaf:
+            upper.append("V")
+            walk(t.vertical)
+
+    lower: list[str] = []
+
+    def leaves(t: BinaryTree) -> None:
+        for child, letter in ((t.horizontal, "V"), (t.vertical, "H")):
+            if child.is_leaf:
+                lower.append(letter)
+            else:
+                leaves(child)
+
+    walk(tree)
+    leaves(tree)
+    return "".join(upper), "".join(lower[1:-1])
+
+
 class TestTrees:
     def test_single_child_rejected(self):
         with pytest.raises(ValueError):
@@ -81,6 +134,13 @@ class TestTrees:
     def test_bad_range(self, n, k):
         with pytest.raises(BadRange):
             enumerate_trees(n, k)
+
+    def test_order_matches_filtered_shapes(self):
+        for n in range(4, 12):
+            shapes = all_trees(n - 2)
+            for k in range(0, n - 3):
+                expected = [t for t in shapes if horizontal_leaves(t) == k + 1]
+                assert enumerate_trees(n, k) == expected
 
     def test_json_round_trip(self):
         for k in range(0, 4):
@@ -173,6 +233,12 @@ class TestOmegaTL:
     def test_k_carried_over(self):
         for t in enumerate_trees(8, 2):
             assert omega_TL(t).k == 2
+
+    def test_recursion_matches_readoff(self):
+        for leaves in range(2, 11):
+            for t in all_trees(leaves):
+                pair = omega_TL(t)
+                assert (pair.wu, pair.wl) == words_readoff(t)
 
 
 class TestMasterIdentity:

@@ -150,6 +150,13 @@ class TestConvert:
         code, _ = invoke(["convert", "--from", "graph", "--to", "dyck"], "{}")
         assert code == 2
 
+    def test_graph_with_misplaced_half_edges_fails(self):
+        blob = ('{"n":2,"internal":[],"edges":[[1,2]],'
+                '"rotation":{"1":[0],"2":[1],"5":[1,0]}}')
+        code, text = invoke(["convert", "--from", "graph", "--to", "permutation"],
+                            blob)
+        assert code == 2 and text == ""
+
 
 class TestSample:
     def test_shape_and_membership(self):

@@ -359,6 +359,33 @@ class TestSerialization:
         with pytest.raises(ValueError):
             PlabicGraph(1, {-1: "red"}, ((1, -1),), {1: (0,), -1: (1,)})
 
+    def test_rotation_must_list_each_half_at_its_vertex(self):
+        # half-edges 1 and 0 listed again at a vertex, bare or colored,
+        # that owns neither
+        with pytest.raises(ValueError):
+            PlabicGraph.from_json(
+                {"n": 2, "internal": [], "edges": [[1, 2]],
+                 "rotation": {"1": [0], "2": [1], "5": [1, 0]}}
+            )
+        with pytest.raises(ValueError):
+            PlabicGraph(2, {-1: BLACK}, ((1, 2),), {1: (0,), 2: (1,), -1: (1, 0)})
+        path = ((1, -1), (-1, 2))
+        # swapped between the ends of an edge
+        with pytest.raises(ValueError):
+            PlabicGraph(2, {-1: WHITE}, path, {1: (0,), -1: (1, 3), 2: (2,)})
+        # listed twice
+        with pytest.raises(ValueError):
+            PlabicGraph(2, {-1: WHITE}, path, {1: (0,), -1: (1, 2, 1), 2: (3,)})
+        # never listed
+        with pytest.raises(ValueError):
+            PlabicGraph(2, {-1: WHITE}, path, {1: (0,), -1: (1,), 2: (3,)})
+        # no such half-edge
+        with pytest.raises(ValueError):
+            PlabicGraph(2, {-1: WHITE}, path, {1: (0,), -1: (1, 2), 2: (7,)})
+        # an internal vertex without a color
+        with pytest.raises(ValueError):
+            PlabicGraph(2, {}, path, {1: (0,), -1: (1, 2), 2: (3,)})
+
     def test_svg_smoke(self):
         svg = graph_from_le(TEN).to_svg()
         assert svg.startswith("<svg") and svg.endswith("</svg>")

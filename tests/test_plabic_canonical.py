@@ -1,0 +1,158 @@
+"""The plabic canonical form against an independent reference form.
+
+The reference is the earlier serialization: the same breadth-first
+numbering, then sorted colors, sorted edges and every internal vertex's
+neighbor cycle at its least rotation.  Two graphs must agree under the
+canonical form exactly when they agree under the reference.
+"""
+
+import hashlib
+import json
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from positroids.permutations import BLACK, WHITE
+from positroids.plabic import (
+    PlabicGraph,
+    bcfw_permutations,
+    blow_up,
+    enumerate_bcfw_graphs,
+    split,
+)
+
+# sha256 of the family bytes (see test_family_bytes_are_pinned), recorded
+# with the sorted reference form as the canonical form
+FAMILY_SHA256 = "472195f5466a38ef421fdeaa9f79bd7aa90390bb26a2562053317c2f75cfea0a"
+
+
+def reference_form(g: PlabicGraph) -> tuple:
+    canon: dict[int, int] = {}
+    arrival: dict[int, int] = {}
+    next_id = g.n
+    for b in range(1, g.n + 1):
+        if b in canon:
+            continue
+        canon[b] = b
+        arrival[b] = g.rotation[b][0]
+        queue = [b]
+        while queue:
+            v = queue.pop(0)
+            halves = tuple(g.rotation[v])
+            at = halves.index(arrival[v])
+            for h in halves[at:] + halves[:at]:
+                u = g.vertex_of(h ^ 1)
+                if u not in canon:
+                    if u < 0:
+                        next_id += 1
+                        canon[u] = next_id
+                    else:
+                        canon[u] = u
+                    arrival[u] = h ^ 1
+                    queue.append(u)
+    colors = tuple(sorted((canon[v], c) for v, c in g.colors.items()))
+    edges = tuple(sorted(tuple(sorted((canon[a], canon[b]))) for a, b in g.edges))
+    rotations = []
+    for v in g.colors:
+        cycle = tuple(canon[g.vertex_of(h ^ 1)] for h in g.rotation[v])
+        least = min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+        rotations.append((canon[v], least))
+    return (g.n, colors, edges, tuple(sorted(rotations)))
+
+
+def raw_children(n: int) -> list[PlabicGraph]:
+    """Every child the m=2 and m=4 recursions build at n, before dedupe."""
+    out = []
+    for k in range(1, n):
+        if k <= n - 2:
+            out += [split(g, n - 1, WHITE) for g in enumerate_bcfw_graphs(n - 1, k, 2)]
+        if k >= 2:
+            out += [split(g, n - 1, BLACK) for g in enumerate_bcfw_graphs(n - 1, k - 1, 2)]
+    if n >= 5:
+        for k in range(2, n - 1):
+            parents = []
+            if k <= n - 3:
+                parents += [(g, BLACK) for g in enumerate_bcfw_graphs(n - 1, k, 4)]
+            if k >= 3:
+                parents += [(g, WHITE) for g in enumerate_bcfw_graphs(n - 1, k - 1, 4)]
+            for g, want in parents:
+                for i in range(2, n - 1):
+                    anchor = g.boundary_neighbor(i)
+                    if anchor < 0 and g.colors[anchor] == want:
+                        out.append(blow_up(g, i))
+    return out
+
+
+def test_equality_matches_reference_on_raw_children():
+    duplicates = 0
+    for n in range(3, 11):
+        children = raw_children(n)
+        assert children
+        by_reference: dict[tuple, set] = {}
+        by_form: dict[tuple, set] = {}
+        for g in children:
+            ref, form = reference_form(g), g.canonical_form()
+            by_reference.setdefault(ref, set()).add(form)
+            by_form.setdefault(form, set()).add(ref)
+        assert all(len(forms) == 1 for forms in by_reference.values())
+        assert all(len(refs) == 1 for refs in by_form.values())
+        duplicates += len(children) - len(by_form)
+    # commuting blow-ups do rebuild graphs, so real collisions are compared
+    assert duplicates > 0
+
+
+def renamed(g: PlabicGraph, rng: random.Random) -> PlabicGraph:
+    """Same embedding with new internal ids, edge order and directions, and
+    each rotation starting at a random half-edge."""
+    ids = rng.sample(range(-10 * len(g.colors) - 10, 0), len(g.colors))
+    name = dict(zip(g.colors, ids))
+    name.update({b: b for b in range(1, g.n + 1)})
+    order = list(range(len(g.edges)))
+    rng.shuffle(order)
+    flip = [rng.random() < 0.5 for _ in order]
+    half = {}
+    edges = []
+    for new, old in enumerate(order):
+        a, b = g.edges[old]
+        if flip[new]:
+            a, b = b, a
+        edges.append((name[a], name[b]))
+        half[2 * old] = 2 * new + flip[new]
+        half[2 * old + 1] = 2 * new + 1 - flip[new]
+    rotation = {}
+    for v, hs in g.rotation.items():
+        at = rng.randrange(len(hs))
+        rotation[name[v]] = tuple(half[h] for h in hs[at:] + hs[:at])
+    return PlabicGraph(
+        g.n, {name[v]: c for v, c in g.colors.items()}, tuple(edges), rotation
+    )
+
+
+FAMILIES = [(n, k, 2) for n in range(2, 9) for k in range(1, n)] + [
+    (n, k, 4) for n in range(4, 9) for k in range(2, n - 1)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(min_value=0), st.randoms())
+def test_form_ignores_internal_names(family, index, rng):
+    graphs = enumerate_bcfw_graphs(*family)
+    g = graphs[index % len(graphs)]
+    h = renamed(g, rng)
+    assert h.canonical_form() == g.canonical_form()
+    assert h == g and hash(h) == hash(g)
+    assert reference_form(h) == reference_form(g)
+
+
+def test_family_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for m in (2, 4):
+        for n in range(m, 11):
+            for k in range(m // 2, n - m // 2 + 1):
+                graphs = enumerate_bcfw_graphs(n, k, m)
+                digest.update(json.dumps([g.to_json() for g in graphs]).encode())
+            for k in range(0, n - m + 1):
+                perms = bcfw_permutations(n, k, m)
+                digest.update(json.dumps([p.to_json() for p in perms]).encode())
+    assert digest.hexdigest() == FAMILY_SHA256
