@@ -35,6 +35,7 @@ from .diagrams import OPlusDiagram, enumerate_diagrams, is_le_diagram, le_normal
     omega_LD, pipe_dream_permutation
 from .errors import BadRange, PositroidError
 from .experiments import (
+    _sample_seed,
     conjecture_sweeps,
     count_report,
     disjointness_experiment,
@@ -355,7 +356,7 @@ def _cmd_sample(args: argparse.Namespace, out: TextIO) -> int:
     for ci in indices:
         cell = le_normalize(cells[ci]) if args.m == 4 else cells[ci]
         draws = [
-            sample_cell(cell, rng=args.seed * 1_000_003 + ci * 1_009 + s).to_json()
+            sample_cell(cell, rng=_sample_seed(args.seed, ci, s)).to_json()
             for s in range(args.count)
         ]
         result.append({"cell": ci, "diagram": cells[ci].to_json(), "samples": draws})
@@ -370,8 +371,8 @@ def _cmd_verify(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         ok = is_le_diagram(OPlusDiagram.from_json(data))
         json.dump({"le": ok}, out)
     else:
-        matrix = RationalMatrix.from_json(data["matrix"])
         diagram = le_normalize(OPlusDiagram.from_json(data["diagram"]))
+        matrix = RationalMatrix.from_json(data["matrix"], cols=diagram.n)  # [] has no width
         ok = positroid_membership(matrix, diagram)
         json.dump({"member": ok}, out)
     out.write("\n")

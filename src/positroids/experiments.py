@@ -22,7 +22,7 @@ from .catalan import enumerate_dyck_paths, enumerate_path_pairs, enumerate_trees
 from .diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD, \
     pipe_dream_permutation
 from .errors import BadRange, NoMatch, SearchExhausted
-from .linalg import RationalMatrix, find_kernel_vector_with_signs, gr_equal, \
+from .linalg import RationalMatrix, _frac, find_kernel_vector_with_signs, gr_equal, \
     make_tp_matrix, plucker, positroid_membership, rref, sample_cell, z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
 from .signs import m2_standard_basis, p_domino_basis, standard_basis_k2, var
@@ -245,7 +245,7 @@ def matching_vector(z: RationalMatrix, first: RationalMatrix,
     from ``v`` their difference is a nonzero kernel vector of ``z``, so its
     sign variation is checked against the rank bound.
     """
-    vec = tuple(Fraction(x) for x in v)
+    vec = tuple(_frac(x) for x in v)
     n = first.cols
     if len(vec) != n or second.cols != n or z.cols != n:
         raise NoMatch("ambient dimensions differ")
@@ -254,12 +254,7 @@ def matching_vector(z: RationalMatrix, first: RationalMatrix,
     if len(rref(stacked)[1]) != base_rank:
         raise NoMatch("vector must lie in the first row span")
     k = second.rows
-    rank = z.rows
-    augmented = RationalMatrix(tuple(
-        tuple(sum(z.entries[r][j] * second.entries[i][j] for j in range(n))
-              for i in range(k))
-        + (sum(z.entries[r][j] * vec[j] for j in range(n)),)
-        for r in range(rank)), cols=k + 1)
+    augmented = z @ RationalMatrix(second.entries + (vec,), cols=n).transpose()
     reduced, pivots = rref(augmented)
     if k in pivots:
         raise NoMatch("no vector of the second span has the same image")
@@ -270,7 +265,7 @@ def matching_vector(z: RationalMatrix, first: RationalMatrix,
                    for j in range(n))
     diff = tuple(a - b for a, b in zip(vec, result))
     if any(diff):
-        assert var(diff) >= rank, "difference violates the kernel variation bound"
+        assert var(diff) >= z.rows, "difference violates the kernel variation bound"
     return result
 
 

@@ -1,12 +1,15 @@
 """Exact rational matrices, Plücker vectors, and cell sampling.
 
-Everything downstream of a decision (memberships, equalities, sign
-checks) runs on fractions.Fraction; no floating point anywhere.
+Fractions at the API boundary, integers inside: every elimination and every
+minor runs on rows scaled to primitive integer vectors, which keeps row
+spans, signs, supports and normalised Plücker points unchanged.  No float
+enters any decision path (memberships, equalities, sign checks).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +24,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .plabic import build_network
+
+
+_ZERO = Fraction(0)
 
 
 def _frac(value) -> Fraction:
@@ -85,53 +91,87 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        grid = [list(row) for row in self.entries]
-        sign = 1
-        for col in range(self.cols):
-            pivot = next((r for r in range(col, self.rows) if grid[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                grid[col], grid[pivot] = grid[pivot], grid[col]
-                sign = -sign
-            for r in range(col + 1, self.rows):
-                factor = grid[r][col] / grid[col][col]
-                for c in range(col, self.cols):
-                    grid[r][c] -= factor * grid[col][c]
-        result = Fraction(sign)
-        for r in range(self.rows):
-            result *= grid[r][r]
-        return result
+        grid, scale = _cleared(self.entries)
+        pivots, up, down = _eliminate(grid)
+        if len(pivots) < self.rows:
+            return _ZERO
+        diagonal = math.prod(grid[r][r] for r in range(self.rows))
+        return Fraction(diagonal * down, up * scale ** self.rows)
 
     def to_json(self) -> list:
         return [[str(x) for x in row] for row in self.entries]
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[str]], cols: Optional[int] = None):
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in data), cols=cols)
+        return cls(tuple(map(tuple, data)), cols=cols)
+
+
+# ----------------------------------------------------------------------
+# the integer core
+
+
+def _cleared(entries) -> tuple[list[list[int]], int]:
+    """The grid times the least common denominator of its entries, and that."""
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in entries], scale
+
+
+def _primitive_rows(entries) -> list[list[int]]:
+    """Each row times a positive rational: a primitive integer row (zero stays zero)."""
+    out = []
+    for row in entries:
+        (ints,), _ = _cleared((row,))
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
+def _eliminate(grid: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss–Jordan in place: ``row <- (lead*row - factor*pivot_row)/gcd``.
+
+    Returns the pivot columns and ``up, down`` with
+    det(result) * down == det(input) * up for square grids.
+    """
+    pivots: list[int] = []
+    up = down = 1
+    row = 0
+    height = len(grid)
+    for col in range(len(grid[0]) if grid else 0):
+        pivot = next((r for r in range(row, height) if grid[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            grid[row], grid[pivot] = grid[pivot], grid[row]
+            up = -up
+        pivot_row = grid[row]
+        lead = pivot_row[col]
+        for r in range(height):
+            factor = grid[r][col]
+            if r != row and factor:
+                new = [lead * a - factor * b for a, b in zip(grid[r], pivot_row)]
+                g = math.gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                    down *= g
+                grid[r] = new
+                up *= lead
+        pivots.append(col)
+        row += 1
+        if row == height:
+            break
+    return pivots, up, down
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    grid = [list(row) for row in matrix.entries]
-    pivots: list[int] = []
-    row = 0
-    for col in range(matrix.cols):
-        pivot = next((r for r in range(row, len(grid)) if grid[r][col]), None)
-        if pivot is None:
-            continue
-        grid[row], grid[pivot] = grid[pivot], grid[row]
-        lead = grid[row][col]
-        grid[row] = [x / lead for x in grid[row]]
-        for r in range(len(grid)):
-            if r != row and grid[r][col]:
-                factor = grid[r][col]
-                grid[r] = [a - factor * b for a, b in zip(grid[r], grid[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(grid):
-            break
-    return RationalMatrix(tuple(tuple(r) for r in grid), cols=matrix.cols), tuple(pivots)
+    grid = _primitive_rows(matrix.entries)
+    pivots, _, _ = _eliminate(grid)
+    # rows past the rank are zero; each pivot row is divided by its lead once
+    reduced = tuple(
+        tuple(Fraction(x, row[col]) if x else _ZERO for x in row)
+        for row, col in zip(grid, pivots)
+    ) + ((_ZERO,) * matrix.cols,) * (matrix.rows - len(pivots))
+    return RationalMatrix(reduced, cols=matrix.cols), tuple(pivots)
 
 
 # ----------------------------------------------------------------------
@@ -142,34 +182,31 @@ def _lex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), k))
 
 
-def _maximal_minors(matrix: RationalMatrix) -> list[Fraction]:
-    """All k x k minors in lex column order, sharing sub-minors."""
-    k, n = matrix.rows, matrix.cols
-    entries = matrix.entries
-    memo: dict[tuple, Fraction] = {}
+@lru_cache(maxsize=None)
+def _lex_masks(n: int, k: int) -> tuple[int, ...]:
+    return tuple(sum(1 << j for j in cols) for cols in itertools.combinations(range(n), k))
 
-    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> Fraction:
-        if not cols:
-            return Fraction(1)
-        key = (rows, cols)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        last = cols[-1]
-        total = Fraction(0)
-        for idx in range(len(rows)):
-            value = entries[rows[idx]][last]
-            if value:
-                sub = minor(rows[:idx] + rows[idx + 1 :], cols[:-1])
-                if (idx + len(cols)) % 2:
-                    total += value * sub
-                else:
-                    total -= value * sub
-        memo[key] = total
-        return total
 
-    all_rows = tuple(range(k))
-    return [minor(all_rows, cols) for cols in itertools.combinations(range(n), k)]
+def _maximal_minors(matrix: RationalMatrix) -> list[int]:
+    """All k x k minors in lex column order, times one positive constant.
+
+    Laplace expansion along each primitive integer row in turn: the nonzero
+    minors of the first r rows, keyed by column bitmask, grow into those of
+    the first r + 1 rows, so sub-minors are shared and zero entries skipped.
+    """
+    layer = {0: 1}
+    for r, row in enumerate(_primitive_rows(matrix.entries)):
+        entries = [(1 << j, a) for j, a in enumerate(row) if a]
+        grown: dict[int, int] = {}
+        get = grown.get
+        for cols, value in layer.items():
+            for bit, a in entries:
+                if not cols & bit:
+                    # cofactor sign: the new column comes after |cols & (bit - 1)| others
+                    odd = (r + (cols & (bit - 1)).bit_count()) & 1
+                    grown[cols | bit] = get(cols | bit, 0) + (-a if odd else a) * value
+        layer = {cols: value for cols, value in grown.items() if value}
+    return [layer.get(cols, 0) for cols in _lex_masks(matrix.cols, matrix.rows)]
 
 
 @dataclass(frozen=True)
@@ -182,7 +219,7 @@ class GrassmannPoint:
 
     def __post_init__(self) -> None:
         coords = tuple(_frac(x) for x in self.coords)
-        expected = len(_lex_subsets(self.n, self.k))
+        expected = math.comb(self.n, self.k)
         if len(coords) != expected:
             raise ValueError(f"need {expected} coordinates, got {len(coords)}")
         lead = next((x for x in coords if x), None)
@@ -220,19 +257,21 @@ class GrassmannPoint:
     def from_json(cls, data: dict) -> "GrassmannPoint":
         k, n = data["k"], data["n"]
         table = {
-            tuple(int(i) for i in key.split(",") if i): Fraction(value)
+            tuple(int(i) for i in key.split(",") if i): _frac(value)
             for key, value in data["plucker"].items()
         }
-        coords = tuple(table.get(s, Fraction(0)) for s in _lex_subsets(n, k))
+        coords = tuple(table.get(s, _ZERO) for s in _lex_subsets(n, k))
         return cls(k, n, coords)
 
 
 def plucker(matrix: RationalMatrix) -> GrassmannPoint:
     """Projective vector of maximal minors of a full-row-rank matrix."""
     minors = _maximal_minors(matrix)
-    if not any(minors):
+    lead = next((x for x in minors if x), None)
+    if lead is None:
         raise RankDeficient(f"matrix has rank below {matrix.rows}")
-    return GrassmannPoint(matrix.rows, matrix.cols, tuple(minors))
+    coords = tuple(Fraction(x, lead) if x else _ZERO for x in minors)
+    return GrassmannPoint(matrix.rows, matrix.cols, coords)
 
 
 def gr_equal(p: GrassmannPoint, q: GrassmannPoint) -> bool:
@@ -292,6 +331,8 @@ def _unit_support(diagram: OPlusDiagram) -> frozenset:
 def positroid_membership(matrix: RationalMatrix, diagram: OPlusDiagram) -> bool:
     """Nonnegative Plücker vector supported exactly on the diagram's positroid."""
     point = plucker(matrix)
+    if (matrix.rows, matrix.cols) != (diagram.k, diagram.n):
+        raise ShapeMismatch(f"{matrix.rows}x{matrix.cols} matrix for Gr({diagram.k},{diagram.n})")
     if any(x < 0 for x in point.coords):
         return False
     return point.support == _unit_support(diagram)
@@ -310,11 +351,12 @@ def _tp_cached(rows: int, n: int, nodes: Optional[tuple]) -> RationalMatrix:
     matrix = RationalMatrix(
         tuple(tuple(t ** i for t in nodes) for i in range(rows)), cols=n
     )
-    for subset, value in zip(
-        itertools.combinations(range(1, n + 1), rows), _maximal_minors(matrix)
-    ):
+    for cols, value in zip(itertools.combinations(range(n), rows), _maximal_minors(matrix)):
         if value <= 0:
-            raise NotTotallyPositive(f"minor on columns {subset} is {value}")
+            # the integer minors carry a positive scale; report the true value
+            square = RationalMatrix(tuple(tuple(row[c] for c in cols) for row in matrix.entries))
+            subset = tuple(c + 1 for c in cols)
+            raise NotTotallyPositive(f"minor on columns {subset} is {square.det()}")
     return matrix
 
 
@@ -330,9 +372,12 @@ def z_map(z: RationalMatrix, v: RationalMatrix) -> GrassmannPoint:
     """Point spanned by the images of v's rows, i.e. row span of v·zᵀ."""
     if v.cols != z.cols:
         raise ShapeMismatch(f"ambient sizes differ: {v.cols} vs {z.cols}")
-    image = v @ z.transpose()
+    # one scale for all of z: scaling its rows apart would move the point
+    z_rows, _ = _cleared(z.entries)
+    image = tuple(tuple(sum(a * b for a, b in zip(row, z_row)) for z_row in z_rows)
+                  for row in _primitive_rows(v.entries))
     try:
-        return plucker(image)
+        return plucker(RationalMatrix(image, cols=z.rows))
     except RankDeficient as exc:
         raise RankLoss("the map dropped rank; check the preconditions") from exc
 
@@ -344,28 +389,14 @@ def z_map(z: RationalMatrix, v: RationalMatrix) -> GrassmannPoint:
 def kernel_basis(z: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the right null space, scaled to primitive integers."""
     reduced, pivots = rref(z)
-    free = [c for c in range(z.cols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * z.cols
+    for f in (c for c in range(z.cols) if c not in pivots):
+        v = [_ZERO] * z.cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
             v[p] = -reduced.entries[r][f]
-        scale = 1
-        for x in v:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
-        ints = [x * scale for x in v]
-        shared = 0
-        for x in ints:
-            shared = _gcd(shared, abs(x.numerator))
-        basis.append(tuple(x / shared for x in ints))
+        basis.append(tuple(map(Fraction, _primitive_rows((v,))[0])))
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _sign(x: Fraction) -> int:
@@ -391,19 +422,11 @@ def _sign_seq(pattern, n: int) -> list[int]:
 def _solve(grid: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
     """Solve a square exact system; None when singular."""
     size = len(grid)
-    work = [row[:] + [rhs[r]] for r, row in enumerate(grid)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        lead = work[col][col]
-        work[col] = [x / lead for x in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [work[r][size] for r in range(size)]
+    work = _primitive_rows([row + [b] for row, b in zip(grid, rhs)])
+    pivots, _, _ = _eliminate(work)
+    if pivots != list(range(size)):
+        return None
+    return [Fraction(work[r][size], work[r][r]) for r in range(size)]
 
 
 def _phase1_feasible(
@@ -478,23 +501,13 @@ def find_kernel_vector_with_signs(
     basis = kernel_basis(z)
     if basis:
         rng = random.Random(seed)
-        gram = [
-            [sum((a * b for a, b in zip(u, w)), Fraction(0)) for w in basis]
-            for u in basis
-        ]
+        gram = [[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis]
         for _ in range(budget):
-            target = [
-                s * Fraction(rng.randint(1, 50), rng.randint(1, 50)) for s in signs
-            ]
-            rhs = [sum((u[t] * target[t] for t in range(z.cols)), Fraction(0))
-                   for u in basis]
-            coeffs = _solve(gram, rhs)
+            target = [s * Fraction(rng.randint(1, 50), rng.randint(1, 50)) for s in signs]
+            coeffs = _solve(gram, [sum(a * b for a, b in zip(u, target)) for u in basis])
             if coeffs is None:
                 break
-            v = [
-                sum((c * u[t] for c, u in zip(coeffs, basis)), Fraction(0))
-                for t in range(z.cols)
-            ]
+            v = [sum(c * u[t] for c, u in zip(coeffs, basis)) for t in range(z.cols)]
             if all(_sign(x) == s for x, s in zip(v, signs)):
                 return tuple(v)
     # complete fallback: v_i = sign_i (u_i + 1) with u >= 0 and Z v = 0

@@ -19,13 +19,9 @@ from .errors import (
     SumMismatch,
     TemplateMismatch,
 )
-from .linalg import RationalMatrix, _frac, kernel_basis, rref
+from .linalg import RationalMatrix, _frac, _sign, kernel_basis, rref
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def sign_string(v) -> str:
@@ -144,7 +140,7 @@ class Domino:
         return cls(
             int(data["n"]),
             int(data["index"]),
-            tuple(Fraction(x) for x in data["values"]),
+            tuple(data["values"]),
         )
 
 
@@ -445,12 +441,7 @@ def _dom_coefficients(classification: K2Classification, v) -> tuple:
         raise ShapeMismatch(f"vector length {len(vals)}, subspace lives in {n}")
     vbar = vals[:-1] + (Fraction(0),)
     columns = [d.vector() for d in classification.dominoes]
-    aug = RationalMatrix(
-        tuple(
-            tuple(col[j] for col in columns) + (vbar[j],) for j in range(n)
-        ),
-        cols=5,
-    )
+    aug = RationalMatrix(tuple(zip(*columns, vbar)), cols=5)
     reduced, pivots = rref(aug)
     if 4 in pivots:
         raise NotInSpan("vector leaves the span of the fundamental dominoes")

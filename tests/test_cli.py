@@ -220,6 +220,29 @@ class TestVerify:
         code, text = invoke(["verify", "--kind", "membership"], payload)
         assert code == 1 and json.loads(text) == {"member": False}
 
+    ROW = {"k": 1, "n": 3, "shape": [2], "rows": ["++"]}
+
+    def test_membership_float_entry_is_usage_error(self):
+        payload = json.dumps({"matrix": [[1.5, 1, 1]], "diagram": self.ROW})
+        code, text = invoke(["verify", "--kind", "membership"], payload)
+        assert code == 2 and text == ""
+        payload = json.dumps({"matrix": [["3/2", 1, 1]], "diagram": self.ROW})
+        assert invoke(["verify", "--kind", "membership"], payload) == (0, '{"member": true}\n')
+
+    def test_membership_wrong_shape_is_usage_error(self):
+        for matrix in ([[1, 1]], [[1, 1, 1], [0, 1, 2]], []):
+            payload = json.dumps({"matrix": matrix, "diagram": self.ROW})
+            code, text = invoke(["verify", "--kind", "membership"], payload)
+            assert code == 2 and text == ""
+
+    def test_membership_of_a_rank_zero_sample(self):
+        code, sample_text = invoke(["sample", "--n", "6", "--k", "0", "--m", "4"])
+        block = json.loads(sample_text)[0]
+        assert block["samples"][0]["matrix"] == []
+        payload = json.dumps({"matrix": [], "diagram": block["diagram"]})
+        code, text = invoke(["verify", "--kind", "membership"], payload)
+        assert code == 0 and json.loads(text) == {"member": True}
+
 
 class TestExperiment:
     def test_counts(self):

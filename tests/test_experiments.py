@@ -157,6 +157,12 @@ class TestMatchingVector:
         with pytest.raises(NoMatch):
             matching_vector(self.z, self.v1, self.v2, alien)
 
+    def test_float_rejected(self):
+        z = make_tp_matrix(3, 5)
+        first = RationalMatrix([[1, 1, 1, 1, 1]])
+        with pytest.raises(TypeError):
+            matching_vector(z, first, first, (0.5,) * 5)
+
     def test_dimension_mismatch(self):
         z = make_tp_matrix(3, 5)
         first = RationalMatrix([[1, 1, 1, 1, 1]])

@@ -135,6 +135,10 @@ class TestRationalMatrix:
         assert data == [["-2/3", "5"]]
         assert RationalMatrix.from_json(data) == m
 
+    def test_json_float_rejected(self):
+        with pytest.raises(TypeError):
+            RationalMatrix.from_json([[1.5, 1, 1]])
+
 
 class TestRref:
     def test_pivots(self):
@@ -196,6 +200,10 @@ class TestPlucker:
         data = p.to_json()
         assert set(data["plucker"]) <= {"1,2", "1,3", "2,3"}
         assert GrassmannPoint.from_json(data) == p
+
+    def test_json_float_rejected(self):
+        with pytest.raises(TypeError):
+            GrassmannPoint.from_json({"k": 1, "n": 2, "plucker": {"1": 1, "2": 0.5}})
 
     def test_not_all_zero(self):
         with pytest.raises(ValueError):
@@ -268,6 +276,13 @@ class TestMembership:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             positroid_membership(RationalMatrix(((0, 0, 0), (0, 0, 0))), TEN)
+
+    def test_shape_mismatch(self):
+        row = OPlusDiagram.from_rows(1, 3, ["++"])
+        with pytest.raises(ShapeMismatch):
+            positroid_membership(RationalMatrix(((1, 1),)), row)
+        with pytest.raises(ShapeMismatch):
+            positroid_membership(RationalMatrix(((1, 1, 1), (0, 1, 2))), row)
 
 
 class TestMakeTP:

@@ -1,0 +1,260 @@
+"""The integer core of linalg against independent exact oracles.
+
+Maximal minors, determinants and the induced map are checked against the
+Leibniz formula and the Cauchy–Binet expansion written out here; ``rref``
+against the Fraction Gauss–Jordan elimination it replaced; Plücker vectors
+of sampled cells against the three-term Plücker relations.
+"""
+
+import hashlib
+import itertools
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from positroids.diagrams import enumerate_diagrams, le_normalize
+from positroids.errors import NotTotallyPositive, RankLoss
+from positroids.experiments import conjecture_sweeps, disjointness_experiment, \
+    m3_counterexample
+from positroids.linalg import (
+    GrassmannPoint,
+    RationalMatrix,
+    _maximal_minors,
+    _solve,
+    kernel_basis,
+    make_tp_matrix,
+    plucker,
+    rref,
+    sample_cell,
+    z_map,
+)
+
+# ----------------------------------------------------------------------
+# oracles
+
+
+def leibniz(rows) -> Fraction:
+    """Determinant as the signed sum over permutations."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = math.prod((Fraction(rows[i][perm[i]]) for i in range(len(rows))), start=Fraction(1))
+        total += -term if inversions % 2 else term
+    return total
+
+
+def leibniz_minors(rows, n):
+    return [leibniz([[row[c] for c in cols] for row in rows])
+            for cols in itertools.combinations(range(n), len(rows))]
+
+
+def fraction_rref(matrix):
+    """The Fraction Gauss–Jordan elimination ``rref`` used to run."""
+    grid = [list(row) for row in matrix.entries]
+    pivots = []
+    row = 0
+    for col in range(matrix.cols):
+        pivot = next((r for r in range(row, len(grid)) if grid[r][col]), None)
+        if pivot is None:
+            continue
+        grid[row], grid[pivot] = grid[pivot], grid[row]
+        lead = grid[row][col]
+        grid[row] = [x / lead for x in grid[row]]
+        for r in range(len(grid)):
+            if r != row and grid[r][col]:
+                factor = grid[r][col]
+                grid[r] = [a - factor * b for a, b in zip(grid[r], grid[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(grid):
+            break
+    return tuple(tuple(r) for r in grid), tuple(pivots)
+
+
+# ----------------------------------------------------------------------
+# random exact matrices: negative and fractional entries, zero rows, and
+# rows that are combinations of others
+
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+
+
+@st.composite
+def grids(draw, rows, cols):
+    grid = [draw(st.lists(ENTRIES, min_size=cols, max_size=cols)) for _ in range(rows)]
+    mode = draw(st.sampled_from(["free", "zero row", "dependent row"]))
+    if rows and mode == "zero row":
+        grid[draw(st.integers(0, rows - 1))] = [0] * cols
+    elif rows > 1 and mode == "dependent row":
+        target, a, b = draw(st.integers(0, rows - 1)), draw(ENTRIES), draw(ENTRIES)
+        others = [r for r in range(rows) if r != target]
+        u, w = grid[others[0]], grid[others[-1]]
+        grid[target] = [a * x + b * y for x, y in zip(u, w)]
+    return grid
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=8, wide=True):
+    k = draw(st.integers(0, max_rows))
+    n = draw(st.integers(k if wide else 0, max_cols))
+    return RationalMatrix(tuple(map(tuple, draw(grids(k, n)))), cols=n)
+
+
+# ----------------------------------------------------------------------
+# the core against the oracles
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_minors_are_leibniz_times_one_positive_constant(matrix):
+    minors = _maximal_minors(matrix)
+    truth = leibniz_minors(matrix.entries, matrix.cols)
+    assert all(type(x) is int for x in minors)
+    assert len(minors) == len(truth)
+    lead = next((j for j, x in enumerate(truth) if x), None)
+    if lead is None:
+        assert not any(minors)
+        return
+    scale = truth[lead] / minors[lead]
+    assert scale > 0
+    assert [scale * x for x in minors] == truth
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(wide=False))
+def test_rref_matches_fraction_gauss_jordan(matrix):
+    reduced, pivots = rref(matrix)
+    old_entries, old_pivots = fraction_rref(matrix)
+    assert pivots == old_pivots
+    assert reduced.entries == old_entries
+    assert (reduced.rows, reduced.cols) == (matrix.rows, matrix.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda size: grids(size, size)))
+def test_det_matches_leibniz(grid):
+    assert RationalMatrix(tuple(map(tuple, grid)), cols=len(grid)).det() == leibniz(grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda size: grids(size, size + 1)))
+def test_solve_matches_leibniz(augmented):
+    grid = [row[:-1] for row in augmented]
+    rhs = [row[-1] for row in augmented]
+    solution = _solve([[Fraction(x) for x in row] for row in grid], [Fraction(b) for b in rhs])
+    if leibniz(grid) == 0:
+        assert solution is None
+    else:
+        assert [sum(a * x for a, x in zip(row, solution)) for row in grid] == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_rows=3, max_cols=7, wide=False))
+def test_kernel_basis_is_primitive_and_spans(matrix):
+    basis = kernel_basis(matrix)
+    assert len(basis) == matrix.cols - len(rref(matrix)[1])
+    for v in basis:
+        assert all(x.denominator == 1 for x in v)
+        assert math.gcd(*(x.numerator for x in v)) == 1
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in matrix.entries)
+
+
+@st.composite
+def map_pairs(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 7))
+    p = draw(st.integers(k, 5))
+    v = RationalMatrix(tuple(map(tuple, draw(grids(k, n)))), cols=n)
+    z = RationalMatrix(tuple(map(tuple, draw(grids(p, n)))), cols=n)
+    return v, z
+
+
+@settings(max_examples=120, deadline=None)
+@given(map_pairs())
+def test_z_map_matches_cauchy_binet(pair):
+    v, z = pair
+    k, p = v.rows, z.rows
+    v_minors = leibniz_minors(v.entries, v.cols)
+    image = []
+    for rows in itertools.combinations(range(p), k):
+        z_minors = leibniz_minors([z.entries[r] for r in rows], z.cols)
+        image.append(sum((a * b for a, b in zip(v_minors, z_minors)), Fraction(0)))
+    if not any(image):
+        with pytest.raises(RankLoss):
+            z_map(z, v)
+    else:
+        assert z_map(z, v) == GrassmannPoint(k, p, tuple(image))
+
+
+def three_term_relations_hold(point: GrassmannPoint) -> bool:
+    """Δ(Sik)Δ(Sjl) = Δ(Sij)Δ(Skl) + Δ(Sil)Δ(Sjk) for all i < j < k < l."""
+    k, n = point.k, point.n
+    coords = dict(zip(point.subsets(), point.coords))
+
+    def delta(base, *extra):
+        return coords[tuple(sorted(base + extra))]
+
+    for base in itertools.combinations(range(1, n + 1), k - 2):
+        rest = [x for x in range(1, n + 1) if x not in base]
+        for i, j, a, b in itertools.combinations(rest, 4):
+            lhs = delta(base, i, a) * delta(base, j, b)
+            rhs = delta(base, i, j) * delta(base, a, b) + delta(base, i, b) * delta(base, j, a)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def test_plucker_relations_on_the_8_2_4_family():
+    z = make_tp_matrix(6, 8)
+    for index, diagram in enumerate(enumerate_diagrams(8, 2, 4)):
+        for seed in (index, 1000 + index):
+            matrix = sample_cell(le_normalize(diagram), seed).matrix
+            assert three_term_relations_hold(plucker(matrix))
+            assert three_term_relations_hold(z_map(z, matrix))
+
+
+def test_plucker_relations_catch_a_non_point():
+    point = plucker(RationalMatrix(((1, 0, -1, -2), (0, 1, 1, 1))))
+    assert three_term_relations_hold(point)
+    broken = list(point.coords)
+    broken[2] += 1
+    assert not three_term_relations_hold(GrassmannPoint(2, 4, tuple(broken)))
+
+
+def test_not_totally_positive_reports_the_true_minor():
+    # the primitive integer rows (1, 1), (3, 2) have determinant -1
+    with pytest.raises(NotTotallyPositive, match=r"columns \(1, 2\) is -1/6$"):
+        make_tp_matrix(2, 2, nodes=("1/2", "1/3"))
+
+
+# sha256 of the outputs below, recorded with the Fraction arithmetic the
+# integer core replaced
+OUTPUTS_SHA256 = "c52c645bcc5a848dcb9a207a0c4b1a3d14376d1750b37313dab3b359d5d4629d"
+
+
+def test_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for report in (
+        disjointness_experiment(8, 2, 4, samples=2, seed=3),
+        disjointness_experiment(8, 3, 2, samples=2, seed=5),
+        conjecture_sweeps(7, samples=1, seed=2),
+        m3_counterexample(seed=1),
+    ):
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    for n, k, m in ((8, 2, 4), (8, 3, 2)):
+        z = make_tp_matrix(k + m, n)
+        for index, diagram in enumerate(enumerate_diagrams(n, k, m)):
+            matrix = sample_cell(le_normalize(diagram) if m == 4 else diagram, index).matrix
+            reduced, pivots = rref(matrix)
+            kernel = [[str(x) for x in v] for v in kernel_basis(matrix)]
+            outputs = [plucker(matrix).to_json(), z_map(z, matrix).to_json(),
+                       reduced.to_json(), pivots, kernel]
+            digest.update(json.dumps(outputs, sort_keys=True).encode())
+    assert digest.hexdigest() == OUTPUTS_SHA256

@@ -123,6 +123,10 @@ class TestDomino:
         assert Domino.from_vector(d.vector()) == d
         assert Domino.from_json(d.to_json()) == d
 
+    def test_json_float_rejected(self):
+        with pytest.raises(TypeError):
+            Domino.from_json({"n": 6, "index": 4, "values": [0.5, 1]})
+
     def test_scaled(self):
         d = Domino(5, 2, (1, 3)).scaled(-2)
         assert d.values == (-2, -6) and d.sign == "-"
