@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .diagrams import _young_rows, is_noncrossing, noncrossing_pairs
-from .errors import BadRange, Crossing, NotBCFWGraph
+from .errors import BadRange, Crossing, InvariantViolated, NotBCFWGraph
 from .plabic import (
     PlabicGraph,
     base_square,
@@ -656,5 +656,6 @@ def macmahon(a: int, b: int, c: int) -> int:
         for j in range(1, b + 1):
             for k in range(1, c + 1):
                 total *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert total.denominator == 1, "the triple product must be an integer"
+    if total.denominator != 1:
+        raise InvariantViolated("the triple product must be an integer")
     return int(total)

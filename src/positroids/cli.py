@@ -5,7 +5,9 @@ and output is JSON on stdio (except the tsv/ascii/svg render formats), and
 randomness is always derived from --seed so runs replay exactly.
 
 Exit codes: 0 for success or a finding, 1 for a violated check (a failed
-verification, an experiment verdict of "violation"), 2 for usage errors.
+verification, an experiment verdict of "violation"), 2 for usage errors
+(input nested too deeply included), 3 for an internal error, reported on
+one line and never mistaken for a finding or a violation.
 """
 
 import argparse
@@ -345,6 +347,8 @@ def _cmd_convert(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
 
 def _cmd_sample(args: argparse.Namespace, out: TextIO) -> int:
     _require(args, "n", "k")
+    if args.count < 1:
+        raise BadRange("--count must be positive")
     cells = enumerate_diagrams(args.n, args.k, args.m)
     if args.cell is None:
         indices = range(len(cells))
@@ -514,9 +518,20 @@ def run(argv, stdin: Optional[TextIO] = None, stdout: Optional[TextIO] = None) -
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"positroids: error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("positroids: error: input nested too deeply", file=sys.stderr)
+        return 2
+    except Exception as exc:  # the one boundary that reports every failure
+        print(f"positroids: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:
+    # a closed pipe downstream (``| head``) ends the process quietly; the
+    # import is here because it costs importers of this module start-up time
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

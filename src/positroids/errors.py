@@ -79,3 +79,11 @@ class SearchExhausted(PositroidError):
 
 class NoMatch(PositroidError):
     """No vector with the required image exists."""
+
+
+class InvariantViolated(RuntimeError):
+    """A property the code guarantees failed to hold: a bug, not bad input.
+
+    Deliberately not a :class:`PositroidError`, so it is never reported as a
+    usage error.
+    """

@@ -21,7 +21,7 @@ from .catalan import enumerate_dyck_paths, enumerate_path_pairs, enumerate_trees
     macmahon, omega_PL, omega_TL, tree_to_graph
 from .diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD, \
     pipe_dream_permutation
-from .errors import BadRange, NoMatch, SearchExhausted
+from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted
 from .linalg import RationalMatrix, _frac, find_kernel_vector_with_signs, gr_equal, \
     make_tp_matrix, plucker, positroid_membership, rref, sample_cell, z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
@@ -136,6 +136,8 @@ def disjointness_experiment(n: int, k: int, m: int,
         raise BadRange("separation is only claimed for k <= 2 when m = 4")
     if not 0 <= k <= n - m:
         raise BadRange("need 0 <= k <= n - m")
+    if samples < 1:
+        raise BadRange("samples must be positive")
     start = time.perf_counter()
     z = make_tp_matrix(k + m, n)
     cells = enumerate_diagrams(n, k, m)
@@ -150,17 +152,18 @@ def disjointness_experiment(n: int, k: int, m: int,
                 m2_standard_basis(point.matrix, cell)
             elif k == 2:
                 standard_basis_k2(point.matrix, diagram)
-            source = tuple(str(c) for c in plucker(point.matrix).coords)
-            image = tuple(str(c) for c in z_map(z, point.matrix).coords)
-            prior = seen.get(image)
-            if prior is None:
-                seen[image] = (ci, s, source)
-            elif prior[2] != source:
+            source = plucker(point.matrix).coords
+            image = z_map(z, point.matrix).coords
+            # keyed on exact (numerator, denominator) pairs, which hash
+            # several times faster than Fractions or their strings
+            entry = (ci, s, source)
+            prior = seen.setdefault(tuple(map(Fraction.as_integer_ratio, image)), entry)
+            if prior is not entry and prior[2] != source:
                 verdict = "violation"
                 witnesses.append({
                     "first": {"cell": prior[0], "sample": prior[1]},
                     "second": {"cell": ci, "sample": s},
-                    "image": list(image),
+                    "image": [str(c) for c in image],
                     "matrix": point.matrix.to_json(),
                 })
     return ExperimentReport(
@@ -264,8 +267,8 @@ def matching_vector(z: RationalMatrix, first: RationalMatrix,
     result = tuple(sum(coeffs[i] * second.entries[i][j] for i in range(k))
                    for j in range(n))
     diff = tuple(a - b for a, b in zip(vec, result))
-    if any(diff):
-        assert var(diff) >= z.rows, "difference violates the kernel variation bound"
+    if any(diff) and var(diff) < z.rows:
+        raise InvariantViolated("difference violates the kernel variation bound")
     return result
 
 
@@ -281,6 +284,8 @@ def conjecture_sweeps(n_max: int = 7, samples: int = 3, seed: int = 0) -> Experi
     """
     if not 4 <= n_max <= 9:
         raise BadRange("n_max must be between 4 and 9")
+    if samples < 1:
+        raise BadRange("samples must be positive")
     start = time.perf_counter()
     witnesses: list = []
     violation = False

@@ -23,7 +23,7 @@ from .errors import (
     RankLoss,
     ShapeMismatch,
 )
-from .plabic import build_network
+from .plabic import Network, build_network
 
 
 _ZERO = Fraction(0)
@@ -162,6 +162,20 @@ def _eliminate(grid: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, up, down
 
 
+def _integer_kernel(grid: list[list[int]], pivots: list[int], cols: int) -> list[list[int]]:
+    """Primitive integer null-space basis of an eliminated grid, one per free column."""
+    scale = math.lcm(*(grid[r][p] for r, p in enumerate(pivots)))
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = scale
+        for r, p in enumerate(pivots):
+            v[p] = -grid[r][f] * (scale // grid[r][p])
+        g = math.gcd(*v)
+        basis.append([x // g for x in v])
+    return basis
+
+
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     grid = _primitive_rows(matrix.entries)
@@ -286,8 +300,12 @@ def gr_equal(p: GrassmannPoint, q: GrassmannPoint) -> bool:
 
 def parameterize(diagram: OPlusDiagram, values: Mapping[str, object]) -> RationalMatrix:
     """Boundary-measurement matrix of a sorted diagram's network."""
-    network = build_network(diagram)
-    return RationalMatrix(tuple(map(tuple, network.matrix(values))), cols=diagram.n)
+    return _boundary_matrix(build_network(diagram), values)
+
+
+def _boundary_matrix(network: Network, values: Mapping[str, object]) -> RationalMatrix:
+    """``parameterize`` for a network already built."""
+    return RationalMatrix(tuple(map(tuple, network.matrix(values))), cols=network.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,13 +337,13 @@ def sample_cell(diagram: OPlusDiagram, rng=None) -> CellSample:
         name: Fraction(rng.randint(1, 50), rng.randint(1, 50))
         for name in network.variables
     }
-    return CellSample(diagram, values, parameterize(diagram, values))
+    return CellSample(diagram, values, _boundary_matrix(network, values))
 
 
 @lru_cache(maxsize=None)
 def _unit_support(diagram: OPlusDiagram) -> frozenset:
     network = build_network(diagram)
-    return plucker(parameterize(diagram, network.ones())).support
+    return plucker(_boundary_matrix(network, network.ones())).support
 
 
 def positroid_membership(matrix: RationalMatrix, diagram: OPlusDiagram) -> bool:
@@ -388,15 +406,9 @@ def z_map(z: RationalMatrix, v: RationalMatrix) -> GrassmannPoint:
 
 def kernel_basis(z: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the right null space, scaled to primitive integers."""
-    reduced, pivots = rref(z)
-    basis = []
-    for f in (c for c in range(z.cols) if c not in pivots):
-        v = [_ZERO] * z.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][f]
-        basis.append(tuple(map(Fraction, _primitive_rows((v,))[0])))
-    return basis
+    grid = _primitive_rows(z.entries)
+    pivots, _, _ = _eliminate(grid)
+    return [tuple(map(Fraction, v)) for v in _integer_kernel(grid, pivots, z.cols)]
 
 
 def _sign(x: Fraction) -> int:
@@ -420,8 +432,9 @@ def _sign_seq(pattern, n: int) -> list[int]:
 
 
 def _solve(grid: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a square exact system; None when singular."""
-    size = len(grid)
+    """The unique solution of an exact system with at least as many equations
+    as unknowns; None when there is none or more than one."""
+    size = len(grid[0]) if grid else 0
     work = _primitive_rows([row + [b] for row, b in zip(grid, rhs)])
     pivots, _, _ = _eliminate(work)
     if pivots != list(range(size)):

@@ -9,6 +9,7 @@ vertex lists its incident half-edges in clockwise order.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -653,6 +654,8 @@ class Network:
     Horizontal edges carry the variables, numbered row by row starting
     at the east border of each row; vertical edges have weight one.
     Sources index the matrix rows, every boundary label a column.
+    ``matrix`` sums the paths on integers, the weights written over one
+    common denominator, and divides once per entry.
     """
 
     k: int
@@ -668,7 +671,12 @@ class Network:
         missing = [name for name in self.variables if name not in values]
         if missing:
             raise MissingVariable(f"no value for {', '.join(missing)}")
-        vals = {name: Fraction(values[name]) for name in self.variables}
+        vals = [Fraction(values[name]) for name in self.variables]
+        # integer weights over one common denominator D; a path sum taking at
+        # most h horizontal edges is kept as an integer numerator over D**h
+        scale = math.lcm(*(v.denominator for v in vals))
+        weight = {name: v.numerator * (scale // v.denominator)
+                  for name, v in zip(self.variables, vals)}
 
         out_h: dict[tuple, tuple[str, tuple]] = {}
         entry: dict[int, tuple[str, tuple]] = {}
@@ -679,20 +687,26 @@ class Network:
                 out_h[tail] = (name, head)
         out_v = {tail: head for tail, head in self.vertical}
 
-        paths: dict[tuple, dict[int, Fraction]] = {}
+        paths: dict[tuple, tuple[int, dict[int, int]]] = {}
         for box in sorted(out_v, key=lambda box: (box[1], -box[0])):
-            total: dict[int, Fraction] = {}
             head = out_v[box]
             if head[0] == "sink":
-                total[head[1]] = Fraction(1)
+                depth, total = 0, {head[1]: 1}
             else:
-                for label, weight in paths[head].items():
-                    total[label] = total.get(label, Fraction(0)) + weight
+                depth, below = paths[head]
+                total = dict(below)
             if box in out_h:
                 name, west = out_h[box]
-                for label, weight in paths[west].items():
-                    total[label] = total.get(label, Fraction(0)) + vals[name] * weight
-            paths[box] = total
+                west_depth, sums = paths[west]
+                west_depth += 1
+                if west_depth > depth:
+                    lift = scale ** (west_depth - depth)
+                    total = {label: lift * x for label, x in total.items()}
+                    depth = west_depth
+                factor = weight[name] * scale ** (depth - west_depth)
+                for label, x in sums.items():
+                    total[label] = total.get(label, 0) + factor * x
+            paths[box] = (depth, total)
 
         rows = []
         for s in self.sources:
@@ -700,9 +714,11 @@ class Network:
             row[s] = Fraction(1)
             if s in entry:
                 name, head = entry[s]
-                for label, weight in paths[head].items():
+                depth, sums = paths[head]
+                denominator = scale ** (depth + 1)
+                for label, x in sums.items():
                     between = sum(1 for t in self.sources if s < t < label)
-                    row[label] = (-1) ** between * vals[name] * weight
+                    row[label] = Fraction((-1) ** between * weight[name] * x, denominator)
             rows.append(row[1:])
         return rows
 

@@ -1,10 +1,16 @@
 """Sign variation, dominoes, and distinguished bases for cell subspaces.
 
 All arithmetic is exact.  Sign vectors serialize as strings over "0+-".
+Inside, the bases run on the integer core of :mod:`positroids.linalg`: the
+candidate rays of a two-row subspace are primitive integer vectors whose
+sign and support tests need no division, the domino systems are eliminated
+fraction-free over the integer kernel, and only the vectors returned are
+turned into Fractions.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,13 +19,15 @@ from typing import Optional, Sequence
 from .catalan import DyckPath, dyck_step_labels
 from .diagrams import OPlusDiagram
 from .errors import (
+    InvariantViolated,
     NotInSpan,
     NotK2BCFW,
     ShapeMismatch,
     SumMismatch,
     TemplateMismatch,
 )
-from .linalg import RationalMatrix, _frac, _sign, kernel_basis, rref
+from .linalg import _ZERO, RationalMatrix, _eliminate, _frac, _integer_kernel, \
+    _primitive_rows, _sign, _solve, rref
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
@@ -152,27 +160,26 @@ def is_domino(v) -> bool:
     return True
 
 
+def _domino_sum(dominoes) -> tuple[tuple[Domino, ...], tuple[Fraction, ...]]:
+    doms = tuple(dominoes)
+    if not doms:
+        raise ValueError("need at least one domino")
+    if any(d.n != doms[0].n for d in doms):
+        raise ShapeMismatch("mixed ambient dimensions")
+    return doms, tuple(sum(col, _ZERO) for col in zip(*(d.vector() for d in doms)))
+
+
 def domino_decompose_sum_bound(dominoes: Sequence[Domino]):
     """Sum a multiset of dominoes and certify the variation bound.
 
     Returns (total, bound) with bound = len(dominoes) - 1; the sum of any
     such multiset alternates at most that often.
     """
-    doms = tuple(dominoes)
-    if not doms:
-        raise ValueError("need at least one domino")
-    n = doms[0].n
-    if any(d.n != n for d in doms):
-        raise ShapeMismatch("mixed ambient dimensions")
-    total = [Fraction(0)] * n
-    for d in doms:
-        vec = d.vector()
-        for j in range(n):
-            total[j] += vec[j]
+    doms, total = _domino_sum(dominoes)
     bound = len(doms) - 1
     if var(total) > bound:
-        raise AssertionError("domino sum variation bound violated")
-    return tuple(total), bound
+        raise InvariantViolated("domino sum variation bound violated")
+    return total, bound
 
 
 def add_single_bound(v, d: Domino) -> int:
@@ -292,52 +299,53 @@ def _plus_minus_pair(head) -> Optional[tuple[int, int]]:
     return pos[0] + 1, neg[0] + 1
 
 
-def _unit_scale(vec) -> tuple:
-    first = next(x for x in vec if x != 0)
-    return tuple(x / first for x in vec)
+def _unit_scale(ray) -> tuple:
+    first = next(x for x in ray if x)
+    return tuple(Fraction(x, first) if x else _ZERO for x in ray)
 
 
-def _candidate_rays(v, w, n) -> list[tuple]:
-    """One representative per projective class of vectors in span(v, w)
-    vanishing at some coordinate."""
+def _candidate_rays(v, w) -> list[tuple[int, ...]]:
+    """One primitive integer representative, first nonzero entry positive, per
+    projective class of vectors in span(v, w) vanishing at some coordinate;
+    v and w are integer rows."""
     rays = {}
-    for col in range(n):
-        if v[col] == 0 and w[col] == 0:
-            continue
-        ray = tuple(w[col] * v[j] - v[col] * w[j] for j in range(n))
-        if any(x != 0 for x in ray):
-            rays.setdefault(_unit_scale(ray), ray)
-    return [_unit_scale(r) for r in rays.values()]
+    for a, b in zip(w, v):
+        ray = [a * x - b * y for x, y in zip(v, w)]
+        g = math.gcd(*ray)
+        if g:
+            if next(x for x in ray if x) < 0:
+                g = -g
+            rays[tuple(x // g for x in ray)] = None
+    return list(rays)
 
 
-def _independent(dominoes, n: int) -> bool:
-    grid = RationalMatrix(tuple(d.vector() for d in dominoes), cols=n)
-    return len(rref(grid)[1]) == len(dominoes)
+def _independent(dominoes) -> bool:
+    pivots, _, _ = _eliminate(_primitive_rows([d.vector() for d in dominoes]))
+    return len(pivots) == len(dominoes)
+
+
+# Every candidate ray starts positive, so of a ray and its negative only the
+# ray itself can fit a template below: each one opens with a positive entry.
 
 
 def _orthodox_assemblies(rays, n):
     d_hits, e_hits = [], []
     for ray in rays:
-        for cand in (ray, tuple(-x for x in ray)):
-            if cand[-1] == 0:
-                continue
-            split = _positive_domino_pair(cand[:-1])
-            if split:
-                (d_hits if cand[-1] < 0 else e_hits).append((cand, split))
+        split = ray[-1] and _positive_domino_pair(ray[:-1])
+        if split:
+            (d_hits if ray[-1] < 0 else e_hits).append((_unit_scale(ray), split))
     out = []
-    for dvec, (i1, i2) in d_hits:
-        for evec, (i3, i4) in e_hits:
+    for d, (i1, i2) in d_hits:
+        for e, (i3, i4) in e_hits:
             if i2 > i3:
                 continue
-            d = _unit_scale(dvec)
-            e = _unit_scale(evec)
             doms = (
                 Domino(n, i1, (d[i1 - 1], d[i1])),
                 Domino(n, i2, (d[i2 - 1], d[i2])),
                 Domino(n, i3, (e[i3 - 1], e[i3])),
                 Domino(n, i4, (e[i4 - 1], e[i4])),
             )
-            if not _independent(doms, n):
+            if not _independent(doms):
                 continue
             gap = i3 - i2
             cls = 3 if gap == 0 else 2 if gap == 1 else 1
@@ -350,40 +358,44 @@ def _orthodox_assemblies(rays, n):
 def _deviant_assemblies(rays, n):
     d_hits, e_hits = [], []
     for ray in rays:
-        for cand in (ray, tuple(-x for x in ray)):
-            if cand[-1] < 0:
-                split = _plus_minus_pair(cand[:-1])
-                if split:
-                    d_hits.append((cand, split))
-            elif cand[-1] == 0 and any(cand) and all(x >= 0 for x in cand):
-                e_hits.append(cand)
+        if ray[-1] < 0:
+            split = _plus_minus_pair(ray[:-1])
+            if split:
+                d_hits.append((ray, split))
+        elif ray[-1] == 0 and all(x >= 0 for x in ray):
+            e_hits.append(ray)
     out = []
     for dvec, (i1, i4) in d_hits:
         d = _unit_scale(dvec)
         d1 = Domino(n, i1, (d[i1 - 1], d[i1]))
         d4 = Domino(n, i4, (-d[i4 - 1], -d[i4]))
+        p0, p1 = dvec[i1 - 1], dvec[i1]  # p0 > 0 is the first nonzero entry
         for raw in e_hits:
-            if raw[i1 - 1] == 0:
+            lead = raw[i1 - 1]
+            if lead == 0:
                 continue
-            scale = d1.values[0] / raw[i1 - 1]
-            e = tuple(scale * x for x in raw)
-            base = d1.vector()
-            g = tuple(x - y for x, y in zip(e, base))
-            if any(x < 0 for x in g):
+            # e = raw / lead agrees with d at i1; g = e - (d's first domino),
+            # kept here times p0 * lead > 0
+            den = p0 * lead
+            g = [p0 * x for x in raw]
+            g[i1 - 1] -= den
+            g[i1] -= lead * p1
+            if g[-1] != 0 or any(x < 0 for x in g):
                 continue
             split = _positive_domino_pair(g[:-1])
-            if split is None or g[-1] != 0:
+            if split is None:
                 continue
             i2, i3 = split
             if not (i1 < i2 and i2 + 1 < i3 and i3 <= i4):
                 continue
+            e = tuple(Fraction(x, lead) for x in raw)
             doms = (
                 d1,
-                Domino(n, i2, (g[i2 - 1], g[i2])),
-                Domino(n, i3, (g[i3 - 1], g[i3])),
+                Domino(n, i2, (Fraction(g[i2 - 1], den), Fraction(g[i2], den))),
+                Domino(n, i3, (Fraction(g[i3 - 1], den), Fraction(g[i3], den))),
                 d4,
             )
-            if not _independent(doms, n):
+            if not _independent(doms):
                 continue
             g12, g43 = i2 - i1, i4 - i3
             if g12 >= 2:
@@ -407,7 +419,8 @@ def standard_basis_k2(
     one, else TemplateMismatch.
     """
     n = matrix.cols
-    reduced, pivots = rref(matrix)
+    grid = _primitive_rows(matrix.entries)
+    pivots, _, _ = _eliminate(grid)
     if len(pivots) != 2:
         raise TemplateMismatch("need a two-dimensional row space")
     want = None
@@ -415,8 +428,7 @@ def standard_basis_k2(
         if diagram.n != n:
             raise ShapeMismatch(f"diagram on {diagram.n} points, matrix on {n}")
         want = classify_k2(diagram)
-    v, w = reduced.entries[0], reduced.entries[1]
-    rays = _candidate_rays(v, w, n)
+    rays = _candidate_rays(grid[0], grid[1])
     found = []
     if want is None or want <= 3:
         found.extend(_orthodox_assemblies(rays, n))
@@ -439,15 +451,15 @@ def _dom_coefficients(classification: K2Classification, v) -> tuple:
     n = classification.n
     if len(vals) != n:
         raise ShapeMismatch(f"vector length {len(vals)}, subspace lives in {n}")
-    vbar = vals[:-1] + (Fraction(0),)
+    vbar = vals[:-1] + (_ZERO,)
     columns = [d.vector() for d in classification.dominoes]
-    aug = RationalMatrix(tuple(zip(*columns, vbar)), cols=5)
-    reduced, pivots = rref(aug)
+    work = _primitive_rows(list(zip(*columns, vbar)))
+    pivots, _, _ = _eliminate(work)
     if 4 in pivots:
         raise NotInSpan("vector leaves the span of the fundamental dominoes")
-    if pivots != (0, 1, 2, 3):
-        raise AssertionError("fundamental dominoes must be independent")
-    return tuple(reduced.entries[j][4] for j in range(4))
+    if pivots != [0, 1, 2, 3]:
+        raise InvariantViolated("fundamental dominoes must be independent")
+    return tuple(Fraction(work[j][4], work[j][j]) for j in range(4))
 
 
 def dom_coordinates(classification: K2Classification, v) -> str:
@@ -524,6 +536,10 @@ def m2_standard_basis(
 # alternating sequences from a domino multiset
 
 
+def _covers(d: Domino, place: int) -> bool:
+    return d.index == place or (d.index < d.n and d.index + 1 == place)
+
+
 def alternating_domino_sequence(
     dominoes: Sequence[Domino], v, indices
 ) -> Optional[tuple[Domino, ...]]:
@@ -533,21 +549,12 @@ def alternating_domino_sequence(
     Requires v to equal the sum of the whole multiset; zero dominoes are
     never selected.  Returns None when no ordering works.
     """
-    doms = tuple(dominoes)
-    if not doms:
-        raise ValueError("need at least one domino")
+    doms, total = _domino_sum(dominoes)
     n = doms[0].n
-    if any(d.n != n for d in doms):
-        raise ShapeMismatch("mixed ambient dimensions")
     vals = tuple(_frac(x) for x in v)
     if len(vals) != n:
         raise ShapeMismatch(f"vector length {len(vals)}, dominoes live in {n}")
-    total = [Fraction(0)] * n
-    for d in doms:
-        vec = d.vector()
-        for j in range(n):
-            total[j] += vec[j]
-    if tuple(total) != vals:
+    if total != vals:
         raise SumMismatch("dominoes do not sum to the test vector")
     idx = sorted(indices)
     if len(set(idx)) != len(idx):
@@ -559,9 +566,6 @@ def alternating_domino_sequence(
 
     used = [False] * len(doms)
     chosen: list[Domino] = []
-
-    def covers(d: Domino, place: int) -> bool:
-        return d.index == place or (d.index < n and d.index + 1 == place)
 
     def search(j: int, prev: int) -> bool:
         if j == len(idx):
@@ -575,7 +579,7 @@ def alternating_domino_sequence(
             if used[t] or d in tried:
                 continue
             tried.add(d)
-            if d.sign != _SIGN_CHAR[need] or not covers(d, place):
+            if d.sign != _SIGN_CHAR[need] or not _covers(d, place):
                 continue
             used[t] = True
             chosen.append(d)
@@ -590,7 +594,7 @@ def alternating_domino_sequence(
     picked = tuple(chosen)
     starts = [d.index for d in picked]
     if starts != sorted(starts) or any(starts.count(s) > 2 for s in starts):
-        raise AssertionError("sequence indices must weakly increase, twice at most")
+        raise InvariantViolated("sequence indices must weakly increase, twice at most")
     return picked
 
 
@@ -630,9 +634,11 @@ def p_domino_basis(
     n, k = path.n, path.k
     if matrix.cols != n or matrix.rows != k:
         raise ShapeMismatch(f"need a {k} x {n} matrix for this path")
-    if len(rref(matrix)[1]) != k:
+    grid = _primitive_rows(matrix.entries)
+    pivots, _, _ = _eliminate(grid)
+    if len(pivots) != k:
         raise ShapeMismatch("sample does not have full rank")
-    kernel = kernel_basis(matrix)
+    kernel = _integer_kernel(grid, pivots, n)
     _, _, up_i, down_i = dyck_step_labels(path)
     steps = path.steps
     heights = path.heights
@@ -662,15 +668,15 @@ def p_domino_basis(
             f_vec[up_i[ip]] = sign * q0
         cols = (u - 1, u, dn - 1, dn)
         signs4 = (1, 1, eps, eps)
-        grid = []
-        for w in kernel:
-            lhs = [Fraction(signs4[t]) * w[cols[t]] for t in range(4)]
-            rhs = -sum((f_vec[j] * w[j] for j in range(n)), Fraction(0))
-            grid.append(lhs + [rhs])
-        reduced, pivots = rref(RationalMatrix(grid, cols=5))
-        if pivots != (0, 1, 2, 3):
+        # the row f + (p, q, eps r, eps s) on cols is orthogonal to the kernel
+        f_support = [(j, x) for j, x in enumerate(f_vec) if x]
+        solution = _solve(
+            [[sg * w[c] for sg, c in zip(signs4, cols)] for w in kernel],
+            [-sum(x * w[j] for j, x in f_support) for w in kernel],
+        )
+        if solution is None:
             return None
-        p, q, r, s = (reduced.entries[t][4] for t in range(4))
+        p, q, r, s = solution
         if p <= 0 or q <= 0 or r <= 0 or s <= 0:
             return None
         row = list(f_vec)
@@ -678,6 +684,6 @@ def p_domino_basis(
             row[t] += a
         rows.append(tuple(row))
         first_dominoes.append((p, q))
-    if len(rref(RationalMatrix(tuple(rows), cols=n))[1]) != k:
+    if len(_eliminate(_primitive_rows(rows))[0]) != k:
         return None
     return rows

@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +19,10 @@ from positroids.catalan import (
     omega_TL,
     tree_to_graph,
 )
+from positroids import cli
 from positroids.cli import run
 from positroids.diagrams import OPlusDiagram, enumerate_diagrams, le_normalize
+from positroids.errors import InvariantViolated
 from positroids.experiments import narayana
 from positroids.linalg import RationalMatrix, positroid_membership
 from positroids.plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
@@ -367,3 +374,59 @@ class TestUsage:
         code, _ = invoke(["convert", "--from", "tree", "--to", "graph"],
                          "this is not json")
         assert code == 2
+
+    def test_nonpositive_samples_rejected(self):
+        for argv in (["experiment", "disjointness", "--n", "8", "--k", "2", "--samples", "-3"],
+                     ["experiment", "disjointness", "--n", "8", "--k", "2", "--samples", "0"],
+                     ["experiment", "sweeps", "--n-max", "5", "--samples", "0"]):
+            code, text = invoke(argv)
+            assert code == 2 and text == ""
+
+    def test_nonpositive_count_rejected(self):
+        for count in ("-1", "0"):
+            code, text = invoke(["sample", "--n", "6", "--k", "1", "--count", count])
+            assert code == 2 and text == ""
+
+    def test_deeply_nested_tree(self, capsys):
+        tree = '"leaf"'
+        for _ in range(1200):
+            tree = '{"horizontal": ' + tree + ', "vertical": "leaf"}'
+        code, text = invoke(["convert", "--from", "tree", "--to", "graph"], tree)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == "positroids: error: input nested too deeply\n"
+
+
+class TestInternalErrors:
+    def test_invariant_violation_exits_3(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InvariantViolated("the triple product must be an integer")
+
+        monkeypatch.setattr(cli, "count_report", broken)
+        code, text = invoke(["experiment", "counts", "--n-max", "5"])
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err
+        assert err == ("positroids: internal error: InvariantViolated: "
+                       "the triple product must be an integer\n")
+
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "count_report", lambda *a: 1 // 0)
+        code, _ = invoke(["experiment", "counts", "--n-max", "5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("positroids: internal error: ZeroDivisionError")
+        assert err.count("\n") == 1
+
+    def test_closed_pipe_is_quiet(self):
+        # ``positroids enumerate ... | head -c 100``: no BrokenPipeError traceback
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "positroids.cli", "enumerate", "--kind", "tree",
+                "--n", "12", "--k", "4"]  # far more than a pipe buffer of JSON
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        if hasattr(signal, "SIGPIPE"):
+            assert proc.returncode == -signal.SIGPIPE

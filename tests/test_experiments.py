@@ -92,6 +92,24 @@ class TestDisjointness:
         with pytest.raises(BadRange):
             disjointness_experiment(6, 5, 2)
 
+    def test_nonpositive_samples(self):
+        # a "pass" after checking nothing would be vacuous
+        for samples in (0, -3):
+            with pytest.raises(BadRange):
+                disjointness_experiment(8, 2, 4, samples=samples)
+
+    def test_collision_is_a_violation_with_string_witness(self, monkeypatch):
+        # a map sending every sample to one point must be caught
+        from positroids import experiments
+        from positroids.linalg import GrassmannPoint
+        point = GrassmannPoint(2, 4, (1, "1/2", 0, 3, 0, "-2/7"))
+        monkeypatch.setattr(experiments, "z_map", lambda z, v: point)
+        report = disjointness_experiment(6, 1, 4, samples=2, seed=1)
+        assert report.verdict == "violation"
+        assert [w["first"] for w in report.witnesses] == [{"cell": 0, "sample": 0}] * 5
+        assert report.witnesses[0]["second"] == {"cell": 0, "sample": 1}
+        assert report.witnesses[0]["image"] == ["1", "1/2", "0", "3", "0", "-2/7"]
+
     def test_rank_zero_family_is_trivial(self):
         report = disjointness_experiment(6, 0, 2, samples=3, seed=0)
         assert report.verdict == "pass"
@@ -197,6 +215,11 @@ class TestConjectureSweeps:
             conjecture_sweeps(10)
         with pytest.raises(BadRange):
             conjecture_sweeps(3)
+
+    def test_nonpositive_samples(self):
+        for samples in (0, -1):
+            with pytest.raises(BadRange):
+                conjecture_sweeps(5, samples=samples)
 
     def test_deterministic_bytes(self):
         a = json.dumps(conjecture_sweeps(5, samples=2, seed=4).to_json(), sort_keys=True)

@@ -1,0 +1,259 @@
+"""The integer fast paths of signs and plabic against independent oracles.
+
+Candidate rays are checked for what they claim (each vanishes somewhere,
+lies in the row span by a Plücker rank check, and no two are proportional)
+and against the Fraction ``_candidate_rays`` they replaced, kept here.
+Domino bases are checked to span the sample's row space and to fit their
+sign template; network matrices against the Fraction path sums the common
+denominator replaced, also kept here.  A sha256 pin, recorded with the
+Fraction arithmetic, covers seeded reports, samples and bases.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from positroids.catalan import dyck_step_labels, enumerate_dyck_paths, omega_PL
+from positroids.diagrams import enumerate_diagrams, le_normalize, omega_LD
+from positroids.experiments import conjecture_sweeps, disjointness_experiment, \
+    m3_counterexample
+from positroids.linalg import RationalMatrix, _maximal_minors, _primitive_rows, gr_equal, \
+    plucker, rref, sample_cell
+from positroids.plabic import build_network
+from positroids.signs import _candidate_rays, _unit_scale, p_domino_basis, \
+    standard_basis_k2
+
+# ----------------------------------------------------------------------
+# oracles
+
+
+def fraction_unit_scale(vec):
+    first = next(x for x in vec if x != 0)
+    return tuple(x / first for x in vec)
+
+
+def fraction_candidate_rays(v, w, n):
+    """The Fraction ``_candidate_rays`` the integer one replaced."""
+    rays = {}
+    for col in range(n):
+        if v[col] == 0 and w[col] == 0:
+            continue
+        ray = tuple(w[col] * v[j] - v[col] * w[j] for j in range(n))
+        if any(x != 0 for x in ray):
+            rays.setdefault(fraction_unit_scale(ray), ray)
+    return [fraction_unit_scale(r) for r in rays.values()]
+
+
+def det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def fraction_path_sums(network, values):
+    """The Fraction path sums ``Network.matrix`` ran before the common denominator."""
+    vals = {name: Fraction(values[name]) for name in network.variables}
+    out_h, entry = {}, {}
+    for name, tail, head in network.horizontal:
+        if tail[0] == "source":
+            entry[tail[1]] = (name, head)
+        else:
+            out_h[tail] = (name, head)
+    out_v = {tail: head for tail, head in network.vertical}
+    paths = {}
+    for box in sorted(out_v, key=lambda box: (box[1], -box[0])):
+        total = {}
+        head = out_v[box]
+        if head[0] == "sink":
+            total[head[1]] = Fraction(1)
+        else:
+            for label, weight in paths[head].items():
+                total[label] = total.get(label, Fraction(0)) + weight
+        if box in out_h:
+            name, west = out_h[box]
+            for label, weight in paths[west].items():
+                total[label] = total.get(label, Fraction(0)) + vals[name] * weight
+        paths[box] = total
+    rows = []
+    for s in network.sources:
+        row = [Fraction(0)] * (network.n + 1)
+        row[s] = Fraction(1)
+        if s in entry:
+            name, head = entry[s]
+            for label, weight in paths[head].items():
+                between = sum(1 for t in network.sources if s < t < label)
+                row[label] = (-1) ** between * vals[name] * weight
+        rows.append(row[1:])
+    return rows
+
+
+# ----------------------------------------------------------------------
+# candidate rays
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def rank_two_pairs(draw):
+    n = draw(st.integers(3, 8))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(2)]
+    # zero columns and repeated columns make zeros and duplicate rays
+    for col in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        rows[0][col] = rows[1][col] = Fraction(0)
+    if draw(st.booleans()):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        scale = draw(rationals)
+        rows[0][dst], rows[1][dst] = scale * rows[0][src], scale * rows[1][src]
+    matrix = RationalMatrix(rows)
+    if not any(_maximal_minors(matrix)):
+        rows[0][0], rows[1][1], rows[0][1], rows[1][0] = 1, 1, 0, 0
+        matrix = RationalMatrix(rows)
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_two_pairs())
+def test_candidate_rays_against_oracles(matrix):
+    n = matrix.cols
+    reduced, pivots = rref(matrix)
+    assert len(pivots) == 2
+    v, w = reduced.entries[0], reduced.entries[1]
+    rays = _candidate_rays(*_primitive_rows((v, w)))
+    for ray in rays:
+        assert all(isinstance(x, int) for x in ray)
+        assert 0 in ray
+        assert next(x for x in ray if x) > 0
+        # in the row span: every 3 x 3 minor of (v; w; ray) vanishes
+        assert all(det3(*[[row[c] for c in cols] for row in (v, w, ray)]) == 0
+                   for cols in _triples(n))
+    for i, r1 in enumerate(rays):
+        for r2 in rays[i + 1:]:
+            assert any(r1[a] * r2[b] != r1[b] * r2[a]
+                       for a in range(n) for b in range(a + 1, n))
+    # every coordinate where the span does not vanish is zeroed by some ray
+    for col in range(n):
+        if v[col] or w[col]:
+            assert any(ray[col] == 0 for ray in rays)
+    assert [_unit_scale(r) for r in rays] == fraction_candidate_rays(v, w, n)
+
+
+def _triples(n):
+    return [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
+
+
+# ----------------------------------------------------------------------
+# domino bases
+
+
+def template_residuals(rows, path):
+    """Each row minus the part its template copies (the last place, or an
+    earlier row's first domino), with the signs the four own entries need."""
+    n, k = path.n, path.k
+    _, _, up_i, down_i = dyck_step_labels(path)
+    ups_pos = [x for x, ch in enumerate(path.steps) if ch == "+"]
+    heights = path.heights
+    out, firsts = [], []
+    for i0, ((u, dn), row) in enumerate(zip(zip(up_i, down_i), rows)):
+        step = ups_pos[u - 1]
+        residual = list(row)
+        if heights[step] == 0:
+            residual[n - 1] -= 1 if (k - i0 - 1) % 2 == 0 else -1
+        else:
+            prior = [p for p in ups_pos if p < step and heights[p + 1] == heights[step]]
+            ip = up_i.index(ups_pos.index(prior[-1]) + 1)
+            sign = 1 if (i0 - ip - 1) % 2 == 0 else -1
+            residual[up_i[ip] - 1] -= sign * firsts[ip][0]
+            residual[up_i[ip]] -= sign * firsts[ip][1]
+        eps = 1 if sum(1 for x in up_i if u < x < dn) % 2 == 0 else -1
+        firsts.append((residual[u - 1], residual[u]))
+        out.append((residual, (u - 1, u, dn - 1, dn), (1, 1, eps, eps)))
+    return out
+
+
+def test_p_domino_rows_span_the_sample_and_fit_the_template():
+    checked = 0
+    for n in range(5, 10):
+        for k in range(1, min(3, n - 4) + 1):
+            for index, path in enumerate(enumerate_dyck_paths(n, k)):
+                point = sample_cell(le_normalize(omega_LD(omega_PL(path))), 31 * index + n)
+                rows = p_domino_basis(point.matrix, path)
+                if rows is None:
+                    assert k == 3  # rank-3 solvability is open
+                    continue
+                assert gr_equal(plucker(RationalMatrix(tuple(rows))), plucker(point.matrix))
+                for residual, cols, signs in template_residuals(rows, path):
+                    assert all(x == 0 for j, x in enumerate(residual) if j not in cols)
+                    assert all(s * residual[c] > 0 for c, s in zip(cols, signs))
+                checked += 1
+    assert checked > 100
+
+
+# ----------------------------------------------------------------------
+# network matrices
+
+_CELLS = ([le_normalize(d) for d in enumerate_diagrams(8, 2, 4)]
+          + list(enumerate_diagrams(7, 3, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_CELLS), st.data())
+def test_network_matrix_against_fraction_path_sums(cell, data):
+    network = build_network(cell)
+    values = {name: data.draw(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60)))
+              for name in network.variables}
+    got = network.matrix(values)
+    assert got == fraction_path_sums(network, values)
+    assert all(isinstance(x, Fraction) for row in got for x in row)
+
+
+def test_network_matrix_of_ones():
+    for cell in _CELLS:
+        network = build_network(cell)
+        assert network.matrix(network.ones()) == fraction_path_sums(network, network.ones())
+
+
+# ----------------------------------------------------------------------
+# pinned outputs
+
+# sha256 of the outputs below, recorded with the Fraction candidate rays,
+# domino solves and path sums that the integer core replaced
+REPORTS_SHA256 = "857de2389cc9a7f374927099d44c0b3992965d2d4aa6fa05e12afa2dbd4d26c1"
+BASES_SHA256 = "d3fdb6df3f19f9305dbee2c7212c25fd3482924ca48d3b818eb977774ab85274"
+
+
+def _strs(v):
+    return [str(x) for x in v]
+
+
+def test_reports_are_pinned():
+    digest = hashlib.sha256()
+    for report in (
+        disjointness_experiment(10, 2, 4, samples=2, seed=7),
+        disjointness_experiment(9, 4, 2, samples=1, seed=8),
+        disjointness_experiment(8, 3, 2, samples=2, seed=9),
+        conjecture_sweeps(8, samples=1, seed=4),
+        m3_counterexample(seed=0),
+    ):
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == REPORTS_SHA256
+
+
+def test_samples_and_bases_are_pinned():
+    digest = hashlib.sha256()
+    for index, diagram in enumerate(enumerate_diagrams(9, 2, 4)):
+        sample = sample_cell(le_normalize(diagram), index)
+        c = standard_basis_k2(sample.matrix, diagram)
+        digest.update(json.dumps([sample.to_json(), c.cell_class, c.flavor, _strs(c.d),
+                                  _strs(c.e), [d.to_json() for d in c.dominoes],
+                                  list(c.indices)], sort_keys=True).encode())
+    for n in range(5, 9):
+        for k in range(1, min(2, n - 4) + 1):
+            for index, path in enumerate(enumerate_dyck_paths(n, k)):
+                cell = le_normalize(omega_LD(omega_PL(path)))
+                rows = p_domino_basis(sample_cell(cell, index).matrix, path)
+                digest.update(json.dumps(None if rows is None else [_strs(r) for r in rows])
+                              .encode())
+    assert digest.hexdigest() == BASES_SHA256
