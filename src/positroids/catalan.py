@@ -201,6 +201,8 @@ class PathPair:
                 raise ValueError("path words use only H and V")
         if len(self.wu) != len(self.wl):
             raise ValueError("the two words must have equal length")
+        if not isinstance(self.wu, str) or not isinstance(self.wl, str):
+            raise TypeError("path words are strings of H and V")
         if self.wu.count("V") != self.wl.count("V"):
             raise ValueError("the two words must have equally many V steps")
         if not is_noncrossing(self.wu, self.wl):
@@ -350,6 +352,8 @@ class DyckPath:
 
     @classmethod
     def from_json(cls, word: str) -> "DyckPath":
+        if not isinstance(word, str):
+            raise TypeError("a Dyck path is a string of U and D steps")
         return cls(word.replace("U", "+").replace("D", "-"))
 
     def ascii_art(self) -> str:
@@ -430,6 +434,8 @@ def shadow_touch(path: DyckPath, x: int) -> int:
 
 def omega_PL(path: DyckPath) -> PathPair:
     """Noncrossing pair of a Dyck path; inverse of omega_LP."""
+    if path.n < 4:
+        raise BadRange("the empty Dyck path (n=3) corresponds to no path pair")
     steps = path.steps
     heights = path.heights
     ups = [x for x, ch in enumerate(steps) if ch == "+"]

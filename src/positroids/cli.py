@@ -6,8 +6,9 @@ randomness is always derived from --seed so runs replay exactly.
 
 Exit codes: 0 for success or a finding, 1 for a violated check (a failed
 verification, an experiment verdict of "violation"), 2 for usage errors
-(input nested too deeply included), 3 for an internal error, reported on
-one line and never mistaken for a finding or a violation.
+(JSON of the wrong type and input nested too deeply included), 3 for an
+internal error, reported on one line and never mistaken for a finding or
+a violation.
 """
 
 import argparse
@@ -50,25 +51,7 @@ from .plabic import Network, PlabicGraph, bcfw_permutations, build_network, \
 
 
 # ----------------------------------------------------------------------
-# object (de)serialization by kind
-
-
-def _load(kind: str, data, m: int):
-    if kind == "tree":
-        return BinaryTree.from_json(data)
-    if kind == "graph":
-        return PlabicGraph.from_json(data)
-    if kind == "paths":
-        return PathPair.from_json(data, m)
-    if kind == "dyck":
-        return DyckPath.from_json(data)
-    if kind == "diagram":
-        return OPlusDiagram.from_json(data)
-    if kind == "permutation":
-        return DecoratedPermutation.from_json(data)
-    if kind == "planepartition":
-        return PlanePartition.from_json(data)
-    raise BadRange(f"objects of kind {kind!r} cannot be read")
+# conversions
 
 
 def _shifted_trip(graph: PlabicGraph, shift: int) -> DecoratedPermutation:
@@ -257,33 +240,44 @@ def _svg_permutation(perm: DecoratedPermutation) -> str:
     return _svg(size, size, body)
 
 
-def _render_svg(kind: str, obj) -> str:
-    if kind in ("diagram", "graph", "paths"):
-        return obj.to_svg()
-    if kind == "dyck":
-        return _svg_dyck(obj)
-    if kind == "tree":
-        return _svg_tree(obj)
-    if kind == "network":
-        return _svg_network(obj)
-    if kind == "planepartition":
-        return _svg_plane_partition(obj)
-    if kind == "permutation":
-        return _svg_permutation(obj)
-    raise BadRange(f"no SVG renderer for kind {kind!r}")
+# ----------------------------------------------------------------------
+# kinds and families; package functions are looked up by name at call time
 
 
-def _render_ascii(kind: str, obj) -> str:
-    if kind in ("diagram", "dyck"):
-        return obj.ascii_art()
-    if kind == "tree":
-        return str(obj)
-    if kind == "permutation":
-        return str(obj)
-    if kind == "planepartition":
-        rows = [" ".join(str(e) for e in row) for row in obj.rows]
-        return "\n".join(rows) if rows else "(empty)"
-    raise BadRange(f"no ascii renderer for kind {kind!r}")
+def _read_network(data, m: int) -> Network:
+    # networks are built, not parsed: accept a diagram and hook it up
+    return build_network(le_normalize(OPlusDiagram.from_json(data)))
+
+
+def _plane_partition_ascii(partition: PlanePartition) -> str:
+    rows = [" ".join(str(e) for e in row) for row in partition.rows]
+    return "\n".join(rows) if rows else "(empty)"
+
+
+# kind -> (reader of its JSON given --m, SVG drawer, ascii drawer or None)
+_KINDS = {
+    "tree": (lambda d, m: BinaryTree.from_json(d), _svg_tree, str),
+    "graph": (lambda d, m: PlabicGraph.from_json(d), lambda g: g.to_svg(), None),
+    "paths": (lambda d, m: PathPair.from_json(d, m), lambda p: p.to_svg(), None),
+    "dyck": (lambda d, m: DyckPath.from_json(d), _svg_dyck, lambda p: p.ascii_art()),
+    "diagram": (lambda d, m: OPlusDiagram.from_json(d), lambda d: d.to_svg(),
+                lambda d: d.ascii_art()),
+    "permutation": (lambda d, m: DecoratedPermutation.from_json(d), _svg_permutation, str),
+    "network": (_read_network, _svg_network, None),
+    "planepartition": (lambda d, m: PlanePartition.from_json(d), _svg_plane_partition,
+                       _plane_partition_ascii),
+}
+
+# enumerable kind -> (its family from --n, --k, --m; separator of its ascii
+# listing or None); pathtuple, sized by --a, --b, --c, is the one other kind
+_FAMILIES = {
+    "tree": (lambda n, k, m: enumerate_trees(n, k), "\n"),
+    "dyck": (lambda n, k, m: enumerate_dyck_paths(n, k), "\n\n"),
+    "paths": (lambda n, k, m: list(enumerate_path_pairs(n, k)), None),
+    "diagram": (lambda n, k, m: enumerate_diagrams(n, k, m), "\n\n"),
+    "graph": (lambda n, k, m: enumerate_bcfw_graphs(n, k, m), None),
+    "permutation": (lambda n, k, m: bcfw_permutations(n, k, m), None),
+}
 
 
 # ----------------------------------------------------------------------
@@ -296,26 +290,14 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise BadRange(f"{', '.join(missing)} required for this invocation")
 
 
-def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     kind = args.kind
     if kind == "pathtuple":
         _require(args, "a", "b", "c")
         objects = list(enumerate_path_tuples(args.a, args.b, args.c))
     else:
         _require(args, "n", "k")
-        n, k, m = args.n, args.k, args.m
-        if kind == "tree":
-            objects = enumerate_trees(n, k)
-        elif kind == "dyck":
-            objects = enumerate_dyck_paths(n, k)
-        elif kind == "paths":
-            objects = list(enumerate_path_pairs(n, k))
-        elif kind == "diagram":
-            objects = enumerate_diagrams(n, k, m)
-        elif kind == "graph":
-            objects = enumerate_bcfw_graphs(n, k, m)
-        else:
-            objects = bcfw_permutations(n, k, m)
+        objects = _FAMILIES[kind][0](args.n, args.k, args.m)
     if args.format == "json":
         json.dump([o.to_json() for o in objects], out)
         out.write("\n")
@@ -323,12 +305,10 @@ def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
         for o in objects:
             out.write(json.dumps(o.to_json(), sort_keys=True) + "\n")
     else:
-        if kind == "tree":
-            out.write("\n".join(str(o) for o in objects) + "\n")
-        elif kind in ("dyck", "diagram"):
-            out.write("\n\n".join(o.ascii_art() for o in objects) + "\n")
-        else:
+        separator = _FAMILIES.get(kind, (None, None))[1]
+        if separator is None:
             raise BadRange(f"ascii output is not available for kind {kind!r}")
+        out.write(separator.join(map(_KINDS[kind][2], objects)) + "\n")
     return 0
 
 
@@ -338,14 +318,13 @@ def _cmd_convert(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         supported = ", ".join(f"{s}->{t}" for s, t in sorted(_ARROWS))
         raise BadRange(f"no conversion {args.source} -> {args.target}; "
                        f"supported: {supported}")
-    obj = _load(args.source, json.load(stdin), args.m)
-    result = arrow(obj, args)
-    json.dump(result.to_json(), out)
+    obj = _KINDS[args.source][0](json.load(stdin), args.m)
+    json.dump(arrow(obj, args).to_json(), out)
     out.write("\n")
     return 0
 
 
-def _cmd_sample(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_sample(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     _require(args, "n", "k")
     if args.count < 1:
         raise BadRange("--count must be positive")
@@ -383,7 +362,7 @@ def _cmd_verify(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     return 0 if ok else 1
 
 
-def _cmd_experiment(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_experiment(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     if args.name == "counts":
         report = count_report(args.n_max)
     elif args.name == "disjointness":
@@ -403,17 +382,23 @@ def _cmd_experiment(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_render(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
-    data = json.load(stdin)
-    if args.kind == "network":
-        # networks are built, not parsed: accept a diagram and hook it up
-        obj = build_network(le_normalize(OPlusDiagram.from_json(data)))
-    else:
-        obj = _load(args.kind, data, args.m)
-    if args.format == "svg":
-        out.write(_render_svg(args.kind, obj) + "\n")
-    else:
-        out.write(_render_ascii(args.kind, obj) + "\n")
+    read, svg, ascii_art = _KINDS[args.kind]
+    obj = read(json.load(stdin), args.m)
+    draw = svg if args.format == "svg" else ascii_art
+    if draw is None:
+        raise BadRange(f"no ascii renderer for kind {args.kind!r}")
+    out.write(draw(obj) + "\n")
     return 0
+
+
+_VERBS = {
+    "enumerate": _cmd_enumerate,
+    "convert": _cmd_convert,
+    "sample": _cmd_sample,
+    "verify": _cmd_verify,
+    "experiment": _cmd_experiment,
+    "render": _cmd_render,
+}
 
 
 # ----------------------------------------------------------------------
@@ -430,9 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     en = sub.add_parser("enumerate", help="list a family as JSON")
-    en.add_argument("--kind", required=True,
-                    choices=["tree", "dyck", "paths", "diagram", "graph",
-                             "permutation", "pathtuple"])
+    en.add_argument("--kind", required=True, choices=[*_FAMILIES, "pathtuple"])
     en.add_argument("--n", type=int)
     en.add_argument("--k", type=int,
                     help="cell rank (graph kind: trip k-statistic)")
@@ -443,10 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     en.add_argument("--format", choices=["json", "tsv", "ascii"], default="json")
 
     cv = sub.add_parser("convert", help="apply a bijection to a JSON object on stdin")
-    kinds = ["tree", "graph", "paths", "dyck", "diagram", "permutation",
-             "network", "planepartition"]
-    cv.add_argument("--from", dest="source", required=True, choices=kinds)
-    cv.add_argument("--to", dest="target", required=True, choices=kinds)
+    cv.add_argument("--from", dest="source", required=True, choices=list(_KINDS))
+    cv.add_argument("--to", dest="target", required=True, choices=list(_KINDS))
     cv.add_argument("--shift", type=int, default=0,
                     help="rotate the trip permutation (permutation targets)")
     cv.add_argument("--m", type=int, default=4)
@@ -484,9 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--format", choices=["json", "tsv"], default="json")
 
     rd = sub.add_parser("render", help="draw a JSON object from stdin")
-    rd.add_argument("--kind", required=True,
-                    choices=["tree", "dyck", "paths", "diagram", "graph",
-                             "network", "permutation", "planepartition"])
+    rd.add_argument("--kind", required=True, choices=list(_KINDS))
     rd.add_argument("--format", choices=["svg", "ascii"], default="svg")
     rd.add_argument("--m", type=int, default=4)
 
@@ -503,17 +482,7 @@ def run(argv, stdin: Optional[TextIO] = None, stdout: Optional[TextIO] = None) -
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.verb == "enumerate":
-            return _cmd_enumerate(args, stdout)
-        if args.verb == "convert":
-            return _cmd_convert(args, stdin, stdout)
-        if args.verb == "sample":
-            return _cmd_sample(args, stdout)
-        if args.verb == "verify":
-            return _cmd_verify(args, stdin, stdout)
-        if args.verb == "experiment":
-            return _cmd_experiment(args, stdout)
-        return _cmd_render(args, stdin, stdout)
+        return _VERBS[args.verb](args, stdin, stdout)
     except (PositroidError, ValueError, KeyError, TypeError) as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"positroids: error: {exc}", file=sys.stderr)

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its float ban."""
+
+from fractions import Fraction
+
+
+def _frac(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("floats are not allowed; pass int, Fraction, or 'p/q'")
+    return Fraction(value)
 
 
 class PositroidError(ValueError):

@@ -21,8 +21,8 @@ from .catalan import enumerate_dyck_paths, enumerate_path_pairs, enumerate_trees
     macmahon, omega_PL, omega_TL, tree_to_graph
 from .diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD, \
     pipe_dream_permutation
-from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted
-from .linalg import RationalMatrix, _frac, find_kernel_vector_with_signs, gr_equal, \
+from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted, _frac
+from .linalg import RationalMatrix, find_kernel_vector_with_signs, gr_equal, \
     make_tp_matrix, plucker, positroid_membership, rref, sample_cell, z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
 from .signs import m2_standard_basis, p_domino_basis, standard_basis_k2, var

@@ -22,19 +22,12 @@ from .errors import (
     RankDeficient,
     RankLoss,
     ShapeMismatch,
+    _frac,
 )
 from .plabic import Network, build_network
 
 
 _ZERO = Fraction(0)
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed; pass int, Fraction, or 'p/q'")
-    return Fraction(value)
 
 
 # ----------------------------------------------------------------------
@@ -502,20 +495,23 @@ def _phase1_feasible(
     return solution
 
 
+_PROJECTION_TRIES = 40
+
+
 def find_kernel_vector_with_signs(
-    z: RationalMatrix, pattern, seed: int = 0, budget: int = 40
+    z: RationalMatrix, pattern, seed: int = 0
 ) -> Optional[tuple[Fraction, ...]]:
     """Exact kernel vector matching a zero-free sign pattern, or None.
 
-    Random rational targets are projected onto the kernel first; if the
-    budget runs out, an exact feasibility LP settles the question.
+    Random rational targets are projected onto the kernel first; after
+    ``_PROJECTION_TRIES`` misses, an exact feasibility LP settles the question.
     """
     signs = _sign_seq(pattern, z.cols)
     basis = kernel_basis(z)
     if basis:
         rng = random.Random(seed)
         gram = [[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis]
-        for _ in range(budget):
+        for _ in range(_PROJECTION_TRIES):
             target = [s * Fraction(rng.randint(1, 50), rng.randint(1, 50)) for s in signs]
             coeffs = _solve(gram, [sum(a * b for a, b in zip(u, target)) for u in basis])
             if coeffs is None:

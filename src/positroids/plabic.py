@@ -23,6 +23,7 @@ from .errors import (
     MissingVariable,
     NonLollipopFixedPoint,
     NotLe,
+    _frac,
 )
 from .permutations import BLACK, WHITE, DecoratedPermutation
 
@@ -183,16 +184,15 @@ class PlabicGraph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PlabicGraph":
-        return cls(
-            int(data["n"]),
-            {int(item["id"]): str(item["color"]) for item in data["internal"]},
-            tuple((int(a), int(b)) for a, b in data["edges"]),
-            {int(v): tuple(int(h) for h in hs) for v, hs in data["rotation"].items()},
-        )
+        n = int(data["n"])
+        colors = {int(item["id"]): str(item["color"]) for item in data["internal"]}
+        edges = tuple((int(a), int(b)) for a, b in data["edges"])
+        if not isinstance(data["rotation"], Mapping):
+            raise TypeError("rotation must map each vertex to its half-edges")
+        rotation = {int(v): tuple(int(h) for h in hs) for v, hs in data["rotation"].items()}
+        return cls(n, colors, edges, rotation)
 
     def to_svg(self) -> str:
-        import math
-
         radius = 150.0
         cx = cy = radius + 20
         pos: dict[int, tuple[float, float]] = {}
@@ -671,7 +671,7 @@ class Network:
         missing = [name for name in self.variables if name not in values]
         if missing:
             raise MissingVariable(f"no value for {', '.join(missing)}")
-        vals = [Fraction(values[name]) for name in self.variables]
+        vals = [_frac(values[name]) for name in self.variables]
         # integer weights over one common denominator D; a path sum taking at
         # most h horizontal edges is kept as an integer numerator over D**h
         scale = math.lcm(*(v.denominator for v in vals))

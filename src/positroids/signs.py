@@ -25,8 +25,9 @@ from .errors import (
     ShapeMismatch,
     SumMismatch,
     TemplateMismatch,
+    _frac,
 )
-from .linalg import _ZERO, RationalMatrix, _eliminate, _frac, _integer_kernel, \
+from .linalg import _ZERO, RationalMatrix, _eliminate, _integer_kernel, \
     _primitive_rows, _sign, _solve, rref
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}

@@ -268,6 +268,11 @@ class TestPathPairs:
         with pytest.raises(ValueError):
             PathPair(wu, wl)
 
+    @pytest.mark.parametrize("wu,wl", [({}, {}), (["H"], ["H"]), ("H", ["H"])])
+    def test_words_must_be_strings(self, wu, wl):
+        with pytest.raises(TypeError):
+            PathPair.from_json({"wu": wu, "wl": wl})
+
     def test_statistics(self):
         pair = PathPair("HVV", "VHV")
         assert pair.k == 2 and pair.b == 1 and pair.n == 7
@@ -296,6 +301,11 @@ class TestDyckPaths:
     def test_malformed(self, word):
         with pytest.raises(ValueError):
             DyckPath(word)
+
+    @pytest.mark.parametrize("data", [42, None, ["U", "D"], {"steps": "UD"}])
+    def test_json_must_be_a_string(self, data):
+        with pytest.raises(TypeError):
+            DyckPath.from_json(data)
 
     def test_statistics(self):
         path = DyckPath(A5)
@@ -344,6 +354,11 @@ class TestOmegaPL:
     def test_base(self):
         pair = omega_PL(DyckPath("+-"))
         assert (pair.wu, pair.wl) == ("", "")
+
+    def test_empty_path_is_out_of_range(self):
+        # it would share the pair ("", "") with "+-" and break the round trip
+        with pytest.raises(BadRange):
+            omega_PL(DyckPath(""))
 
     def test_wide_path(self):
         pair = omega_PL(DyckPath(A5))

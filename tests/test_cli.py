@@ -387,6 +387,20 @@ class TestUsage:
             code, text = invoke(["sample", "--n", "6", "--k", "1", "--count", count])
             assert code == 2 and text == ""
 
+    @pytest.mark.parametrize("argv, payload", [
+        (["render", "--kind", "dyck", "--format", "ascii"], "42"),
+        (["convert", "--from", "graph", "--to", "tree"],
+         json.dumps({**enumerate_bcfw_graphs(6, 2, 4)[0].to_json(), "rotation": []})),
+        (["convert", "--from", "paths", "--to", "dyck"], '{"wu": {}, "wl": {}}'),
+        (["convert", "--from", "paths", "--to", "dyck"], '{"wu": ["H"], "wl": ["H"]}'),
+        (["convert", "--from", "dyck", "--to", "paths"], '""'),
+    ], ids=["int-dyck", "list-rotation", "object-words", "list-words", "empty-dyck"])
+    def test_wrongly_typed_json_is_usage_error(self, argv, payload, capsys):
+        code, text = invoke(argv, payload)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "positroids: error: " in err and "internal error" not in err
+
     def test_deeply_nested_tree(self, capsys):
         tree = '"leaf"'
         for _ in range(1200):

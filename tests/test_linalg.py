@@ -240,6 +240,10 @@ class TestParameterize:
         with pytest.raises(MissingVariable):
             parameterize(TEN, vals)
 
+    def test_float_value_is_refused(self):
+        with pytest.raises(TypeError):
+            parameterize(SECTION, {f"a{i}": 0.1 for i in range(1, 7)})
+
     @pytest.mark.parametrize("m,n_max", [(2, 6), (4, 7)])
     def test_support_matches_necklace_positroid(self, m, n_max):
         lo = 2 if m == 2 else 4

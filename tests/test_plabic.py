@@ -320,6 +320,12 @@ class TestNetworks:
         with pytest.raises(MissingVariable):
             net.matrix(values)
 
+    def test_float_weight_is_refused(self):
+        net = build_network(TEN)
+        values = {**net.ones(), "a7": 0.1}
+        with pytest.raises(TypeError):
+            net.matrix(values)
+
     def test_empty_row_gives_unit_row(self):
         A = build_network(TEN).matrix(build_network(TEN).ones())
         assert A[2] == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
@@ -352,6 +358,12 @@ class TestSerialization:
     def test_json_round_trip(self):
         for g in (base_square(), graph_from_le(TEN), fold([BLACK, WHITE])):
             assert PlabicGraph.from_json(g.to_json()) == g
+
+    @pytest.mark.parametrize("rotation", [[], [[0]], "01", None])
+    def test_json_rotation_must_be_an_object(self, rotation):
+        data = {**base_square().to_json(), "rotation": rotation}
+        with pytest.raises(TypeError):
+            PlabicGraph.from_json(data)
 
     def test_validation(self):
         with pytest.raises(ValueError):
