@@ -525,13 +525,18 @@ class NoncrossingPathTuple:
     words: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(self.words))
-        for word in self.words:
+        words = tuple(self.words)
+        object.__setattr__(self, "words", words)
+        rectangle = None
+        for word in words:
             if set(word) - {"H", "V"}:
                 raise ValueError("path words use only H and V")
-            if word.count("V") != self.a or word.count("H") != self.b:
+            counts = (word.count("V"), word.count("H"))
+            if rectangle is None:
+                rectangle = counts
+            elif counts != rectangle:
                 raise ValueError("all paths must share one rectangle")
-        for upper, lower in zip(self.words, self.words[1:]):
+        for upper, lower in zip(words, words[1:]):
             if not is_noncrossing(upper, lower):
                 raise Crossing(f"paths cross: {upper!r}, {lower!r}")
 
@@ -639,18 +644,25 @@ def enumerate_path_tuples(a: int, b: int, c: int) -> Iterator[NoncrossingPathTup
     if min(a, b, c) < 0:
         raise BadRange(f"box dimensions must be nonnegative, got {(a, b, c)}")
 
+    # memoised per call: the subpartitions of each outer shape, each shape's word
+    inner: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    word: dict[tuple[int, ...], str] = {}
+
     def chains(outer: tuple[int, ...], depth: int):
+        # the words of each chain below outer, innermost (the upper path) first
         if depth == 0:
             yield ()
             return
-        for shape in _subpartitions(outer):
+        if outer not in inner:
+            inner[outer] = tuple(_subpartitions(outer))
+        for shape in inner[outer]:
+            if shape not in word:
+                word[shape] = _word_from_rows(shape, b)
             for rest in chains(shape, depth - 1):
-                yield (shape,) + rest
+                yield rest + (word[shape],)
 
-    for chain in chains((b,) * a, c):
-        yield NoncrossingPathTuple(
-            tuple(_word_from_rows(shape, b) for shape in reversed(chain))
-        )
+    for words in chains((b,) * a, c):
+        yield NoncrossingPathTuple(words)
 
 
 def macmahon(a: int, b: int, c: int) -> int:

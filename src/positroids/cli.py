@@ -290,6 +290,13 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise BadRange(f"{', '.join(missing)} required for this invocation")
 
 
+def _read_json(stdin: TextIO):
+    """The JSON document on stdin; Infinity, -Infinity and NaN are refused."""
+    def refuse(token: str):
+        raise ValueError(f"{token} is not a JSON number")
+    return json.load(stdin, parse_constant=refuse)
+
+
 def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     kind = args.kind
     if kind == "pathtuple":
@@ -318,7 +325,7 @@ def _cmd_convert(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         supported = ", ".join(f"{s}->{t}" for s, t in sorted(_ARROWS))
         raise BadRange(f"no conversion {args.source} -> {args.target}; "
                        f"supported: {supported}")
-    obj = _KINDS[args.source][0](json.load(stdin), args.m)
+    obj = _KINDS[args.source][0](_read_json(stdin), args.m)
     json.dump(arrow(obj, args).to_json(), out)
     out.write("\n")
     return 0
@@ -349,7 +356,7 @@ def _cmd_sample(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
-    data = json.load(stdin)
+    data = _read_json(stdin)
     if args.kind == "diagram":
         ok = is_le_diagram(OPlusDiagram.from_json(data))
         json.dump({"le": ok}, out)
@@ -383,7 +390,7 @@ def _cmd_experiment(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int
 
 def _cmd_render(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     read, svg, ascii_art = _KINDS[args.kind]
-    obj = read(json.load(stdin), args.m)
+    obj = read(_read_json(stdin), args.m)
     draw = svg if args.format == "svg" else ascii_art
     if draw is None:
         raise BadRange(f"no ascii renderer for kind {args.kind!r}")

@@ -45,14 +45,19 @@ class PlabicGraph:
                 raise ValueError("internal vertices must use negative ids")
             if color not in (BLACK, WHITE):
                 raise ValueError(f"bad color {color!r}")
-        # position of each half-edge in its vertex's rotation; -1 = unlisted
-        edges = self.edges
-        pos = [-1] * (2 * len(edges))
+        # the vertex owning each half-edge, and its position in that
+        # vertex's rotation (-1 = unlisted)
+        ends = [v for e in self.edges if len(e) == 2 for v in e]
+        size = len(ends)
+        if size != 2 * len(self.edges):
+            raise ValueError("every edge must join exactly two ends")
+        object.__setattr__(self, "_ends", ends)
+        pos = [-1] * size
         for v, halves in self.rotation.items():
             if not (1 <= v <= self.n or v in self.colors):
                 raise ValueError(f"vertex {v} is neither boundary nor colored")
             for at, h in enumerate(halves):
-                if not 0 <= h < len(pos) or pos[h] >= 0 or edges[h >> 1][h & 1] != v:
+                if not 0 <= h < size or pos[h] >= 0 or ends[h] != v:
                     raise ValueError(f"rotation at {v} does not match its half-edges")
                 pos[h] = at
         if -1 in pos:
@@ -67,7 +72,7 @@ class PlabicGraph:
     # structure
 
     def vertex_of(self, half: int) -> int:
-        return self.edges[half // 2][half % 2]
+        return self._ends[half]
 
     @staticmethod
     def partner(half: int) -> int:
@@ -94,30 +99,31 @@ class PlabicGraph:
 
         Breadth-first from each unvisited boundary vertex in label
         order; internal vertices are numbered n+1, n+2, ... as they are
-        discovered.  The form is (n, records) with one (color, neighbors)
-        record per vertex in visiting order: the color is None on the
-        boundary, and the neighbors' numbers run clockwise from the
-        half-edge the vertex was reached by, so isomorphic embeddings
-        give identical forms.
+        discovered.  The form is (n, flat): per vertex in visiting order,
+        ``flat`` holds its color (None on the boundary), its degree d and
+        the d numbers of its neighbors, clockwise from the half-edge it was
+        reached by.  The degree marks where each vertex ends, so the layout
+        is unambiguous, and isomorphic embeddings give identical forms.
         """
         if self._canon is not None:
             return self._canon
-        edges, rotation, colors, pos = self.edges, self.rotation, self.colors, self._pos
+        ends, rotation, colors, pos = self._ends, self.rotation, self.colors, self._pos
         canon: dict[int, int] = {}
-        records = []
+        flat: list = []
         next_id = self.n
         for b in range(1, self.n + 1):
             if b in canon:
                 continue
             canon[b] = b
-            queue = deque([(b, rotation[b][0])])
+            queue = deque([rotation[b][0]])
             while queue:
-                v, arrival = queue.popleft()
+                arrival = queue.popleft()
+                v = ends[arrival]
                 halves = rotation[v]
                 at = pos[arrival]
-                cycle = []
+                flat += (colors.get(v), len(halves))
                 for h in halves[at:] + halves[:at]:
-                    u = edges[h >> 1][(h & 1) ^ 1]
+                    u = ends[h ^ 1]
                     c = canon.get(u)
                     if c is None:
                         if u < 0:
@@ -126,12 +132,11 @@ class PlabicGraph:
                         else:
                             c = u
                         canon[u] = c
-                        queue.append((u, h ^ 1))
-                    cycle.append(c)
-                records.append((colors.get(v), tuple(cycle)))
+                        queue.append(h ^ 1)
+                    flat.append(c)
         if len(canon) < len(rotation):
             raise ValueError("graph has a component without boundary vertices")
-        form = (self.n, tuple(records))
+        form = (self.n, tuple(flat))
         object.__setattr__(self, "_canon", form)
         return form
 
@@ -260,21 +265,19 @@ def trip_permutation(graph: PlabicGraph) -> DecoratedPermutation:
     successor.  A wire returning to its start must come from a lollipop,
     whose color decorates the fixed point.
     """
+    ends, pos, rotation, colors = graph._ends, graph._pos, graph.rotation, graph.colors
     images = []
     white = set()
     for i in range(1, graph.n + 1):
-        start = graph.rotation[i][0]
-        cur = start
+        cur = rotation[i][0]
         while True:
-            arriving = graph.partner(cur)
-            v = graph.vertex_of(arriving)
-            if v > 0:
-                end = v
+            arriving = cur ^ 1
+            end = ends[arriving]
+            if end > 0:
                 break
-            halves = graph.rotation[v]
-            at = graph._pos[arriving]
-            step = -1 if graph.colors[v] == BLACK else 1
-            cur = halves[(at + step) % len(halves)]
+            halves = rotation[end]
+            step = -1 if colors[end] == BLACK else 1
+            cur = halves[(pos[arriving] + step) % len(halves)]
         images.append(end)
         if end == i:
             neighbor = graph.boundary_neighbor(i)
@@ -302,7 +305,10 @@ def k_statistic(graph: PlabicGraph) -> int:
 
 def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[list, dict, dict]:
     """Shift boundary labels above i up by one; returns mutable copies."""
-    edges = [(a + (a > i), b + (b > i)) for a, b in graph.edges]
+    edges = list(graph.edges)
+    for b in range(i + 1, graph.n + 1):
+        h = graph.rotation[b][0]
+        edges[h >> 1] = _swap_end(edges[h >> 1], h & 1, b + 1)
     rotation = {v + (v > i): h for v, h in graph.rotation.items()}
     return edges, rotation, dict(graph.colors)
 
@@ -353,7 +359,7 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     if not 1 <= i <= graph.n:
         raise BadBoundary(f"no boundary vertex {i}")
     h_i = graph.rotation[i][0]
-    v = graph.vertex_of(graph.partner(h_i))
+    v = graph._ends[h_i ^ 1]
     if v > 0 or graph.degree(v) != 3:
         raise BadAttachment(f"boundary {i} is not attached to a trivalent vertex")
     halves = graph.rotation[v]
@@ -388,9 +394,7 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
 
 
 def _swap_end(edge: tuple[int, int], side: int, v: int) -> tuple[int, int]:
-    ends = list(edge)
-    ends[side] = v
-    return (ends[0], ends[1])
+    return (edge[0], v) if side else (v, edge[1])
 
 
 # ----------------------------------------------------------------------

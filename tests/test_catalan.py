@@ -81,6 +81,44 @@ def horizontal_leaves(t: BinaryTree) -> int:
     )
 
 
+def reference_path_tuples(a: int, b: int, c: int):
+    """The path-tuple generator without memoisation: every chain of c
+    nested shapes in the a x b box, largest first, each shape's word built
+    anew, the tuple built through the validating constructor."""
+
+    def word_from_rows(rows: tuple, width: int) -> str:
+        prev = width
+        parts = []
+        for x in rows:
+            parts.append("H" * (prev - x))
+            parts.append("V")
+            prev = x
+        parts.append("H" * prev)
+        return "".join(parts)
+
+    def subpartitions(outer: tuple, cap=None):
+        if not outer:
+            yield ()
+            return
+        top = outer[0] if cap is None else min(outer[0], cap)
+        for first in range(top, -1, -1):
+            for rest in subpartitions(outer[1:], first):
+                yield (first,) + rest
+
+    def chains(outer: tuple, depth: int):
+        if depth == 0:
+            yield ()
+            return
+        for shape in subpartitions(outer):
+            for rest in chains(shape, depth - 1):
+                yield (shape,) + rest
+
+    for chain in chains((b,) * a, c):
+        yield NoncrossingPathTuple(
+            tuple(word_from_rows(shape, b) for shape in reversed(chain))
+        )
+
+
 def words_readoff(tree: BinaryTree) -> tuple[str, str]:
     """The tree's word pair read off directly, without recursion on pairs.
 
@@ -500,8 +538,23 @@ class TestPlanePartitions:
                     count = sum(1 for _ in enumerate_path_tuples(a, b, c))
                     assert count == macmahon(a, b, c)
 
+    @pytest.mark.parametrize(
+        "box", [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+        + [(4, 4, 3)],
+    )
+    def test_tuples_match_unmemoised_reference(self, box):
+        got = [t.words for t in enumerate_path_tuples(*box)]
+        assert got == [t.words for t in reference_path_tuples(*box)]
+
     def test_tuple_validation(self):
         with pytest.raises(ValueError):
             NoncrossingPathTuple(("HV", "VHV"))
+        # each word is checked in order: letters, then the first word's rectangle
+        with pytest.raises(ValueError, match="only H and V"):
+            NoncrossingPathTuple(("HV", "VH", "HX"))
+        with pytest.raises(ValueError, match="one rectangle"):
+            NoncrossingPathTuple(("HV", "VVH", "X"))
+        with pytest.raises(ValueError, match="only H and V"):
+            NoncrossingPathTuple(("X", "VVH"))
         with pytest.raises(BadRange):
             list(enumerate_path_tuples(-1, 2, 2))

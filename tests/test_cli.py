@@ -401,6 +401,21 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "positroids: error: " in err and "internal error" not in err
 
+    @pytest.mark.parametrize("argv, payload", [
+        (["render", "--kind", "diagram", "--format", "svg"],
+         '{"k": Infinity, "n": 3, "shape": [2], "rows": ["++"]}'),
+        (["render", "--kind", "permutation", "--format", "svg"],
+         '{"n": Infinity, "images": []}'),
+        (["verify", "--kind", "diagram"],
+         '{"k": NaN, "n": 3, "shape": [2], "rows": ["++"]}'),
+        (["convert", "--from", "dyck", "--to", "paths"], '[-Infinity]'),
+    ], ids=["infinity-diagram", "infinity-permutation", "nan-verify", "minus-infinity"])
+    def test_nonstandard_json_constants_are_usage_errors(self, argv, payload, capsys):
+        code, text = invoke(argv, payload)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "is not a JSON number" in err and "internal error" not in err
+
     def test_deeply_nested_tree(self, capsys):
         tree = '"leaf"'
         for _ in range(1200):

@@ -365,11 +365,25 @@ class TestSerialization:
         with pytest.raises(TypeError):
             PlabicGraph.from_json(data)
 
+    def test_canonical_form_is_flat(self):
+        # per vertex in breadth-first order: color, degree, then the
+        # neighbors' numbers clockwise from the arrival half-edge
+        assert base_bridge().canonical_form() == (2, (None, 1, 2, None, 1, 1))
+        assert base_square().canonical_form() == (4, (
+            None, 1, 5, WHITE, 3, 1, 6, 7, BLACK, 3, 5, 2, 8, BLACK, 3, 5, 8, 4,
+            None, 1, 6, WHITE, 3, 6, 3, 7, None, 1, 7, None, 1, 8,
+        ))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PlabicGraph(2, {}, ((1, 2), (1, 2)), {1: (0,), 2: (1, 3)})
         with pytest.raises(ValueError):
             PlabicGraph(1, {-1: "red"}, ((1, -1),), {1: (0,), -1: (1,)})
+
+    @pytest.mark.parametrize("edges", [((1, 2, 3),), ((1,),), ((1, 2, 3), (4,))])
+    def test_edge_must_be_a_pair(self, edges):
+        with pytest.raises(ValueError, match="two ends"):
+            PlabicGraph(2, {}, edges, {1: (0,), 2: (1,)})
 
     def test_rotation_must_list_each_half_at_its_vertex(self):
         # half-edges 1 and 0 listed again at a vertex, bare or colored,
