@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .diagrams import _young_rows, is_noncrossing, noncrossing_pairs
-from .errors import BadRange, Crossing, InvariantViolated, NotBCFWGraph
+from .errors import BadRange, Crossing, InvariantViolated, NotBCFWGraph, _int
 from .plabic import (
     PlabicGraph,
     base_square,
@@ -540,6 +540,14 @@ class NoncrossingPathTuple:
             if not is_noncrossing(upper, lower):
                 raise Crossing(f"paths cross: {upper!r}, {lower!r}")
 
+    @classmethod
+    def _built(cls, words: tuple[str, ...]) -> "NoncrossingPathTuple":
+        """Generator output only, never input: a chain of nested shapes read
+        as words, noncrossing by construction, set up without the checks."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "words", words)
+        return t
+
     @property
     def c(self) -> int:
         return len(self.words)
@@ -600,10 +608,10 @@ class PlanePartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlanePartition":
-        a, b = data["a"], data["b"]
-        rows = [tuple(r) + (0,) * (b - len(r)) for r in data["rows"]]
+        a, b = _int(data["a"]), _int(data["b"])
+        rows = [tuple(map(_int, r)) + (0,) * (b - len(r)) for r in data["rows"]]
         rows += [(0,) * b] * (a - len(rows))
-        return cls(a, b, data["c"], tuple(rows))
+        return cls(a, b, _int(data["c"]), tuple(rows))
 
 
 def paths_to_plane_partition(paths) -> PlanePartition:
@@ -661,8 +669,7 @@ def enumerate_path_tuples(a: int, b: int, c: int) -> Iterator[NoncrossingPathTup
             for rest in chains(shape, depth - 1):
                 yield rest + (word[shape],)
 
-    for words in chains((b,) * a, c):
-        yield NoncrossingPathTuple(words)
+    yield from map(NoncrossingPathTuple._built, chains((b,) * a, c))
 
 
 def macmahon(a: int, b: int, c: int) -> int:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BadRange, Crossing, NotReduced
+from .errors import BadRange, Crossing, NotReduced, _int
 from .permutations import DecoratedPermutation
 
 
@@ -139,13 +139,12 @@ class OPlusDiagram:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "OPlusDiagram":
-        d = cls(
-            int(data["k"]),
-            int(data["n"]),
-            tuple(int(v) for v in data["shape"]),
+        return cls(
+            _int(data["k"]),
+            _int(data["n"]),
+            tuple(_int(v) for v in data["shape"]),
             tuple(str(r) for r in data["rows"]),
         )
-        return d
 
     def ascii_art(self) -> str:
         """Grid of + and 0 characters, one line per row."""

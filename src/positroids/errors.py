@@ -11,6 +11,12 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
+def _int(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected an integer, not {type(value).__name__}")
+
+
 class PositroidError(ValueError):
     """Base class for all domain errors raised by this package."""
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .errors import _int
+
 
 BLACK = "black"
 WHITE = "white"
@@ -140,9 +142,9 @@ class DecoratedPermutation:
     @classmethod
     def from_json(cls, data: Mapping) -> "DecoratedPermutation":
         return cls(
-            int(data["n"]),
-            tuple(int(v) for v in data["images"]),
-            frozenset(int(v) for v in data.get("white_fixed", ())),
+            _int(data["n"]),
+            tuple(_int(v) for v in data["images"]),
+            frozenset(_int(v) for v in data.get("white_fixed", ())),
         )
 
     @classmethod

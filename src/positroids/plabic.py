@@ -24,6 +24,7 @@ from .errors import (
     NonLollipopFixedPoint,
     NotLe,
     _frac,
+    _int,
 )
 from .permutations import BLACK, WHITE, DecoratedPermutation
 
@@ -68,25 +69,38 @@ class PlabicGraph:
             if v not in self.rotation:
                 raise ValueError(f"internal vertex {v} is isolated")
 
+    @classmethod
+    def _built(cls, n, colors, edges, rotation, ends=None, pos=None) -> "PlabicGraph":
+        """Surgery output only, never input: built from a valid graph, so valid
+        by construction.  Missing ``ends``/``pos`` come from an unchecked scan."""
+        g = object.__new__(cls)
+        if ends is None:
+            ends = [v for e in edges for v in e]
+        if pos is None:
+            pos = [0] * len(ends)
+            for halves in rotation.values():
+                for at, h in enumerate(halves):
+                    pos[h] = at
+        for name, value in zip(("n", "colors", "edges", "rotation", "_canon", "_ends", "_pos"),
+                               (n, colors, edges, rotation, None, ends, pos)):
+            object.__setattr__(g, name, value)
+        return g
+
     # ------------------------------------------------------------------
     # structure
 
     def vertex_of(self, half: int) -> int:
         return self._ends[half]
 
-    @staticmethod
-    def partner(half: int) -> int:
-        return half ^ 1
-
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.vertex_of(self.partner(h)) for h in self.rotation[v])
+        return tuple(self._ends[h ^ 1] for h in self.rotation[v])
 
     def boundary_neighbor(self, i: int) -> int:
         """The unique vertex attached to boundary i."""
-        return self.vertex_of(self.partner(self.rotation[i][0]))
+        return self._ends[self.rotation[i][0] ^ 1]
 
     def internal_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.colors, reverse=True))
@@ -189,12 +203,12 @@ class PlabicGraph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PlabicGraph":
-        n = int(data["n"])
-        colors = {int(item["id"]): str(item["color"]) for item in data["internal"]}
-        edges = tuple((int(a), int(b)) for a, b in data["edges"])
+        n = _int(data["n"])
+        colors = {_int(item["id"]): str(item["color"]) for item in data["internal"]}
+        edges = tuple((_int(a), _int(b)) for a, b in data["edges"])
         if not isinstance(data["rotation"], Mapping):
             raise TypeError("rotation must map each vertex to its half-edges")
-        rotation = {int(v): tuple(int(h) for h in hs) for v, hs in data["rotation"].items()}
+        rotation = {int(v): tuple(_int(h) for h in hs) for v, hs in data["rotation"].items()}
         return cls(n, colors, edges, rotation)
 
     def to_svg(self) -> str:
@@ -334,7 +348,7 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     edges.append((far, v_new))
     edges.append((v_new, i))
     edges.append((v_new, i + 1))
-    h_far = graph.partner(h_i)
+    h_far = h_i ^ 1
     rotation[far] = tuple(2 * base if h == h_far else h for h in rotation[far])
     rotation[v_new] = (2 * base + 1, 2 * (base + 1), 2 * (base + 2))
     rotation[i] = (2 * (base + 1) + 1,)
@@ -345,7 +359,7 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
         v: tuple(h - 2 if h > 2 * old_edge else h for h in halves)
         for v, halves in rotation.items()
     }
-    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
+    return PlabicGraph._built(graph.n + 1, colors, tuple(edges), rotation)
 
 
 def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
@@ -363,7 +377,7 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     if v > 0 or graph.degree(v) != 3:
         raise BadAttachment(f"boundary {i} is not attached to a trivalent vertex")
     halves = graph.rotation[v]
-    at = graph._pos[graph.partner(h_i)]
+    at = graph._pos[h_i ^ 1]
     h_to_e, h_to_f = halves[(at + 1) % 3], halves[(at + 2) % 3]
     edge_e, edge_f, edge_i = h_to_e // 2, h_to_f // 2, h_i // 2
 
@@ -378,7 +392,7 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     # so no edge is renumbered
     edges[edge_e] = _swap_end(edges[edge_e], h_to_e % 2, a)
     edges[edge_f] = _swap_end(edges[edge_f], h_to_f % 2, b)
-    edges[edge_i] = _swap_end(edges[edge_i], graph.partner(h_i) % 2, c)
+    edges[edge_i] = _swap_end(edges[edge_i], (h_i ^ 1) % 2, c)
     base = len(edges)
     edges.append((a, b))
     edges.append((b, c))
@@ -387,10 +401,17 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     edges.append((d, i + 1))
     rotation[a] = (h_to_e, 2 * base, 2 * (base + 3) + 1)
     rotation[b] = (h_to_f, 2 * (base + 1), 2 * base + 1)
-    rotation[c] = (2 * (base + 1) + 1, graph.partner(h_i), 2 * (base + 2))
+    rotation[c] = (2 * (base + 1) + 1, h_i ^ 1, 2 * (base + 2))
     rotation[d] = (2 * (base + 3), 2 * (base + 2) + 1, 2 * (base + 4))
     rotation[i + 1] = (2 * (base + 4) + 1,)
-    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
+    # half-edge ids are kept: patch the parent's owners and positions
+    ends = graph._ends + [a, b, b, c, c, d, d, a, d, i + 1]
+    pos = graph._pos + [1, 2, 1, 0, 2, 1, 0, 2, 2, 0]
+    for j in range(i + 1, graph.n + 1):
+        ends[graph.rotation[j][0]] = j + 1
+    ends[h_to_e], ends[h_to_f], ends[h_i ^ 1] = a, b, c
+    pos[h_to_e], pos[h_to_f], pos[h_i ^ 1] = 0, 0, 1
+    return PlabicGraph._built(graph.n + 1, colors, tuple(edges), rotation, ends, pos)
 
 
 def _swap_end(edge: tuple[int, int], side: int, v: int) -> tuple[int, int]:

@@ -543,8 +543,10 @@ class TestPlanePartitions:
         + [(4, 4, 3)],
     )
     def test_tuples_match_unmemoised_reference(self, box):
-        got = [t.words for t in enumerate_path_tuples(*box)]
-        assert got == [t.words for t in reference_path_tuples(*box)]
+        got = list(enumerate_path_tuples(*box))
+        assert [t.words for t in got] == [t.words for t in reference_path_tuples(*box)]
+        # the generator builds its tuples without the public check
+        assert all(t == NoncrossingPathTuple(t.words) for t in got)
 
     def test_tuple_validation(self):
         with pytest.raises(ValueError):

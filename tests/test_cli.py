@@ -416,6 +416,22 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "is not a JSON number" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("argv, payload", [
+        (["verify", "--kind", "diagram"],
+         '{"k": 1.9, "n": 3.2, "shape": [2.7], "rows": ["++"]}'),
+        (["render", "--kind", "permutation", "--format", "ascii"],
+         '{"n": true, "images": [1]}'),
+        (["render", "--kind", "planepartition", "--format", "ascii"],
+         '{"a": 1, "b": 1, "c": 2, "rows": [[1.5]]}'),
+        (["render", "--kind", "graph", "--format", "svg"],
+         json.dumps({**enumerate_bcfw_graphs(6, 2, 4)[0].to_json(), "n": "6"})),
+    ], ids=["float-diagram", "bool-permutation", "float-entry", "string-graph-size"])
+    def test_json_integers_must_be_integers(self, argv, payload, capsys):
+        code, text = invoke(argv, payload)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "expected an integer" in err and "internal error" not in err
+
     def test_deeply_nested_tree(self, capsys):
         tree = '"leaf"'
         for _ in range(1200):

@@ -102,6 +102,19 @@ def test_equality_matches_reference_on_raw_children():
     assert duplicates > 0
 
 
+def test_surgery_output_passes_the_public_check():
+    # split and blow_up build their children without validating them; the
+    # validating constructor must accept every one and derive the same
+    # half-edge owners, positions and form
+    families = [(n, k, 2) for n in range(2, 12) for k in range(1, n)]
+    families += [(n, k, 4) for n in range(4, 12) for k in range(2, n - 1)]
+    for family in families:
+        for g in enumerate_bcfw_graphs(*family):
+            checked = PlabicGraph(g.n, g.colors, g.edges, g.rotation)
+            assert checked._ends == g._ends and checked._pos == g._pos
+            assert checked.canonical_form() == g.canonical_form()
+
+
 def renamed(g: PlabicGraph, rng: random.Random) -> PlabicGraph:
     """Same embedding with new internal ids, edge order and directions, and
     each rotation starting at a random half-edge."""
