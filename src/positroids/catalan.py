@@ -10,16 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .diagrams import _young_rows, is_noncrossing, noncrossing_pairs
 from .errors import BadRange, Crossing, InvariantViolated, NotBCFWGraph, _int
-from .plabic import (
-    PlabicGraph,
-    base_square,
-    blow_up,
-    k_statistic,
-)
+
+if TYPE_CHECKING:
+    from .plabic import PlabicGraph
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +145,8 @@ def _collapse_first(tree: BinaryTree) -> tuple[BinaryTree, int]:
 
 def tree_to_graph(tree: BinaryTree) -> PlabicGraph:
     """Build the plabic graph of a tree by undoing leaf collapses as blow-ups."""
+    # plabic on first use: only the two graph arrows need it, so other requests skip it
+    from .plabic import base_square, blow_up
     if tree.is_leaf:
         raise BadRange("a bare leaf corresponds to no graph")
     ops = []
@@ -168,6 +167,7 @@ def _tree_by_graph(n: int, k: int) -> dict[PlabicGraph, BinaryTree]:
 
 def graph_to_tree(graph: PlabicGraph) -> BinaryTree:
     """Inverse of tree_to_graph."""
+    from .plabic import k_statistic
     n = graph.n
     k = k_statistic(graph) - 2
     if n < 4 or k < 0 or k > n - 4:

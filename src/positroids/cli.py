@@ -2,7 +2,9 @@
 
 Verbs: enumerate, convert, sample, verify, experiment, render.  All input
 and output is JSON on stdio (except the tsv/ascii/svg render formats), and
-randomness is always derived from --seed so runs replay exactly.
+randomness is always derived from --seed so runs replay exactly.  Each
+verb imports the package modules it uses on first use, so a request pays
+start-up only for those.
 
 Exit codes: 0 for success or a finding, 1 for a violated check (a failed
 verification, an experiment verdict of "violation"), 2 for usage errors
@@ -11,43 +13,26 @@ internal error, reported on one line and never mistaken for a finding or
 a violation.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import math
 import sys
-from typing import Optional, TextIO
+from importlib import import_module
+from typing import TYPE_CHECKING, Optional, TextIO
 
-from .catalan import (
-    BinaryTree,
-    DyckPath,
-    PathPair,
-    PlanePartition,
-    enumerate_dyck_paths,
-    enumerate_path_pairs,
-    enumerate_path_tuples,
-    enumerate_trees,
-    graph_to_tree,
-    omega_LP,
-    omega_PL,
-    omega_TL,
-    paths_to_plane_partition,
-    plane_partition_to_paths,
-    tree_to_graph,
-)
-from .diagrams import OPlusDiagram, enumerate_diagrams, is_le_diagram, le_normalize, \
-    omega_LD, pipe_dream_permutation
 from .errors import BadRange, PositroidError
-from .experiments import (
-    _sample_seed,
-    conjecture_sweeps,
-    count_report,
-    disjointness_experiment,
-    m3_counterexample,
-)
-from .linalg import RationalMatrix, positroid_membership, sample_cell
-from .permutations import DecoratedPermutation
-from .plabic import Network, PlabicGraph, bcfw_permutations, build_network, \
-    enumerate_bcfw_graphs, trip_permutation
+
+if TYPE_CHECKING:
+    from .catalan import BinaryTree, DyckPath, PathPair, PlanePartition
+    from .permutations import DecoratedPermutation
+    from .plabic import Network, PlabicGraph
+
+
+def _mod(name: str):
+    """The package module ``name``, imported on first use."""
+    return import_module(f"{__package__}.{name}")
 
 
 # ----------------------------------------------------------------------
@@ -55,29 +40,32 @@ from .plabic import Network, PlabicGraph, bcfw_permutations, build_network, \
 
 
 def _shifted_trip(graph: PlabicGraph, shift: int) -> DecoratedPermutation:
-    return trip_permutation(graph).left_shift(shift)
+    return _mod("plabic").trip_permutation(graph).left_shift(shift)
 
 
 def _partition_to_pair(partition: PlanePartition, m: int) -> PathPair:
-    words = plane_partition_to_paths(partition).words
+    catalan = _mod("catalan")
+    words = catalan.plane_partition_to_paths(partition).words
     if len(words) != 2:
         raise BadRange("only two-path plane partitions convert to a path pair")
-    return PathPair(words[0], words[1], m)
+    return catalan.PathPair(words[0], words[1], m)
 
 
 # arrow table: (from, to) -> callable(obj, args)
 _ARROWS = {
-    ("tree", "graph"): lambda t, a: tree_to_graph(t),
-    ("graph", "tree"): lambda g, a: graph_to_tree(g),
-    ("tree", "paths"): lambda t, a: omega_TL(t),
-    ("tree", "permutation"): lambda t, a: _shifted_trip(tree_to_graph(t), a.shift),
+    ("tree", "graph"): lambda t, a: _mod("catalan").tree_to_graph(t),
+    ("graph", "tree"): lambda g, a: _mod("catalan").graph_to_tree(g),
+    ("tree", "paths"): lambda t, a: _mod("catalan").omega_TL(t),
+    ("tree", "permutation"):
+        lambda t, a: _shifted_trip(_mod("catalan").tree_to_graph(t), a.shift),
     ("graph", "permutation"): lambda g, a: _shifted_trip(g, a.shift),
-    ("paths", "dyck"): lambda p, a: omega_LP(p),
-    ("dyck", "paths"): lambda d, a: omega_PL(d),
-    ("paths", "diagram"): lambda p, a: omega_LD(p),
-    ("diagram", "permutation"): lambda d, a: pipe_dream_permutation(d),
-    ("diagram", "network"): lambda d, a: build_network(d),
-    ("paths", "planepartition"): lambda p, a: paths_to_plane_partition((p.wu, p.wl)),
+    ("paths", "dyck"): lambda p, a: _mod("catalan").omega_LP(p),
+    ("dyck", "paths"): lambda d, a: _mod("catalan").omega_PL(d),
+    ("paths", "diagram"): lambda p, a: _mod("diagrams").omega_LD(p),
+    ("diagram", "permutation"): lambda d, a: _mod("diagrams").pipe_dream_permutation(d),
+    ("diagram", "network"): lambda d, a: _mod("plabic").build_network(d),
+    ("paths", "planepartition"):
+        lambda p, a: _mod("catalan").paths_to_plane_partition((p.wu, p.wl)),
     ("planepartition", "paths"): lambda p, a: _partition_to_pair(p, a.m),
 }
 
@@ -246,7 +234,9 @@ def _svg_permutation(perm: DecoratedPermutation) -> str:
 
 def _read_network(data, m: int) -> Network:
     # networks are built, not parsed: accept a diagram and hook it up
-    return build_network(le_normalize(OPlusDiagram.from_json(data)))
+    diagrams = _mod("diagrams")
+    diagram = diagrams.le_normalize(diagrams.OPlusDiagram.from_json(data))
+    return _mod("plabic").build_network(diagram)
 
 
 def _plane_partition_ascii(partition: PlanePartition) -> str:
@@ -256,27 +246,31 @@ def _plane_partition_ascii(partition: PlanePartition) -> str:
 
 # kind -> (reader of its JSON given --m, SVG drawer, ascii drawer or None)
 _KINDS = {
-    "tree": (lambda d, m: BinaryTree.from_json(d), _svg_tree, str),
-    "graph": (lambda d, m: PlabicGraph.from_json(d), lambda g: g.to_svg(), None),
-    "paths": (lambda d, m: PathPair.from_json(d, m), lambda p: p.to_svg(), None),
-    "dyck": (lambda d, m: DyckPath.from_json(d), _svg_dyck, lambda p: p.ascii_art()),
-    "diagram": (lambda d, m: OPlusDiagram.from_json(d), lambda d: d.to_svg(),
+    "tree": (lambda d, m: _mod("catalan").BinaryTree.from_json(d), _svg_tree, str),
+    "graph": (lambda d, m: _mod("plabic").PlabicGraph.from_json(d), lambda g: g.to_svg(),
+              None),
+    "paths": (lambda d, m: _mod("catalan").PathPair.from_json(d, m), lambda p: p.to_svg(),
+              None),
+    "dyck": (lambda d, m: _mod("catalan").DyckPath.from_json(d), _svg_dyck,
+             lambda p: p.ascii_art()),
+    "diagram": (lambda d, m: _mod("diagrams").OPlusDiagram.from_json(d), lambda d: d.to_svg(),
                 lambda d: d.ascii_art()),
-    "permutation": (lambda d, m: DecoratedPermutation.from_json(d), _svg_permutation, str),
+    "permutation": (lambda d, m: _mod("permutations").DecoratedPermutation.from_json(d),
+                    _svg_permutation, str),
     "network": (_read_network, _svg_network, None),
-    "planepartition": (lambda d, m: PlanePartition.from_json(d), _svg_plane_partition,
-                       _plane_partition_ascii),
+    "planepartition": (lambda d, m: _mod("catalan").PlanePartition.from_json(d),
+                       _svg_plane_partition, _plane_partition_ascii),
 }
 
 # enumerable kind -> (its family from --n, --k, --m; separator of its ascii
 # listing or None); pathtuple, sized by --a, --b, --c, is the one other kind
 _FAMILIES = {
-    "tree": (lambda n, k, m: enumerate_trees(n, k), "\n"),
-    "dyck": (lambda n, k, m: enumerate_dyck_paths(n, k), "\n\n"),
-    "paths": (lambda n, k, m: list(enumerate_path_pairs(n, k)), None),
-    "diagram": (lambda n, k, m: enumerate_diagrams(n, k, m), "\n\n"),
-    "graph": (lambda n, k, m: enumerate_bcfw_graphs(n, k, m), None),
-    "permutation": (lambda n, k, m: bcfw_permutations(n, k, m), None),
+    "tree": (lambda n, k, m: _mod("catalan").enumerate_trees(n, k), "\n"),
+    "dyck": (lambda n, k, m: _mod("catalan").enumerate_dyck_paths(n, k), "\n\n"),
+    "paths": (lambda n, k, m: list(_mod("catalan").enumerate_path_pairs(n, k)), None),
+    "diagram": (lambda n, k, m: _mod("diagrams").enumerate_diagrams(n, k, m), "\n\n"),
+    "graph": (lambda n, k, m: _mod("plabic").enumerate_bcfw_graphs(n, k, m), None),
+    "permutation": (lambda n, k, m: _mod("plabic").bcfw_permutations(n, k, m), None),
 }
 
 
@@ -301,7 +295,7 @@ def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     kind = args.kind
     if kind == "pathtuple":
         _require(args, "a", "b", "c")
-        objects = list(enumerate_path_tuples(args.a, args.b, args.c))
+        objects = list(_mod("catalan").enumerate_path_tuples(args.a, args.b, args.c))
     else:
         _require(args, "n", "k")
         objects = _FAMILIES[kind][0](args.n, args.k, args.m)
@@ -335,7 +329,8 @@ def _cmd_sample(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     _require(args, "n", "k")
     if args.count < 1:
         raise BadRange("--count must be positive")
-    cells = enumerate_diagrams(args.n, args.k, args.m)
+    diagrams, linalg = _mod("diagrams"), _mod("linalg")
+    cells = diagrams.enumerate_diagrams(args.n, args.k, args.m)
     if args.cell is None:
         indices = range(len(cells))
     else:
@@ -344,9 +339,9 @@ def _cmd_sample(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         indices = [args.cell]
     result = []
     for ci in indices:
-        cell = le_normalize(cells[ci]) if args.m == 4 else cells[ci]
+        cell = diagrams.le_normalize(cells[ci]) if args.m == 4 else cells[ci]
         draws = [
-            sample_cell(cell, rng=_sample_seed(args.seed, ci, s)).to_json()
+            linalg.sample_cell(cell, rng=linalg._sample_seed(args.seed, ci, s)).to_json()
             for s in range(args.count)
         ]
         result.append({"cell": ci, "diagram": cells[ci].to_json(), "samples": draws})
@@ -357,29 +352,33 @@ def _cmd_sample(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
 
 def _cmd_verify(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     data = _read_json(stdin)
+    diagrams = _mod("diagrams")
     if args.kind == "diagram":
-        ok = is_le_diagram(OPlusDiagram.from_json(data))
+        ok = diagrams.is_le_diagram(diagrams.OPlusDiagram.from_json(data))
         json.dump({"le": ok}, out)
     else:
-        diagram = le_normalize(OPlusDiagram.from_json(data["diagram"]))
-        matrix = RationalMatrix.from_json(data["matrix"], cols=diagram.n)  # [] has no width
-        ok = positroid_membership(matrix, diagram)
+        diagram = diagrams.le_normalize(diagrams.OPlusDiagram.from_json(data["diagram"]))
+        linalg = _mod("linalg")
+        matrix = linalg.RationalMatrix.from_json(data["matrix"], cols=diagram.n)  # [] has no width
+        ok = linalg.positroid_membership(matrix, diagram)
         json.dump({"member": ok}, out)
     out.write("\n")
     return 0 if ok else 1
 
 
 def _cmd_experiment(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
+    experiments = _mod("experiments")
     if args.name == "counts":
-        report = count_report(args.n_max)
+        report = experiments.count_report(args.n_max)
     elif args.name == "disjointness":
         _require(args, "n", "k")
-        report = disjointness_experiment(args.n, args.k, args.m,
-                                         samples=args.samples, seed=args.seed)
+        report = experiments.disjointness_experiment(args.n, args.k, args.m,
+                                                     samples=args.samples, seed=args.seed)
     elif args.name == "m3-counterexample":
-        report = m3_counterexample(seed=args.seed)
+        report = experiments.m3_counterexample(seed=args.seed)
     else:
-        report = conjecture_sweeps(args.n_max, samples=args.samples, seed=args.seed)
+        report = experiments.conjecture_sweeps(args.n_max, samples=args.samples,
+                                               seed=args.seed)
     if args.format == "tsv":
         out.write(report.to_tsv())
     else:

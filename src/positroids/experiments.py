@@ -22,8 +22,8 @@ from .catalan import enumerate_dyck_paths, enumerate_path_pairs, enumerate_trees
 from .diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD, \
     pipe_dream_permutation
 from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted, _frac
-from .linalg import RationalMatrix, find_kernel_vector_with_signs, gr_equal, \
-    make_tp_matrix, plucker, positroid_membership, rref, sample_cell, z_map
+from .linalg import RationalMatrix, _sample_seed, find_kernel_vector_with_signs, \
+    gr_equal, make_tp_matrix, plucker, positroid_membership, rref, sample_cell, z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
 from .signs import m2_standard_basis, p_domino_basis, standard_basis_k2, var
 
@@ -66,10 +66,6 @@ class ExperimentReport:
         for t, w in enumerate(self.witnesses):
             lines.append(f"witness.{t}\t" + json.dumps(w, sort_keys=True))
         return "\n".join(lines) + "\n"
-
-
-def _sample_seed(seed: int, cell_index: int, sample_index: int) -> int:
-    return seed * 1_000_003 + cell_index * 1_009 + sample_index
 
 
 def count_report(n_max: int = 10) -> ExperimentReport:

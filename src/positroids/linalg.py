@@ -321,6 +321,10 @@ class CellSample:
         }
 
 
+def _sample_seed(seed: int, cell_index: int, sample_index: int) -> int:
+    return seed * 1_000_003 + cell_index * 1_009 + sample_index
+
+
 def sample_cell(diagram: OPlusDiagram, rng=None) -> CellSample:
     """Draw every edge variable as p/q with p, q uniform in 1..50."""
     if rng is None or isinstance(rng, int):

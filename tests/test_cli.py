@@ -19,7 +19,7 @@ from positroids.catalan import (
     omega_TL,
     tree_to_graph,
 )
-from positroids import cli
+from positroids import cli, experiments
 from positroids.cli import run
 from positroids.diagrams import OPlusDiagram, enumerate_diagrams, le_normalize
 from positroids.errors import InvariantViolated
@@ -447,7 +447,7 @@ class TestInternalErrors:
         def broken(*args, **kwargs):
             raise InvariantViolated("the triple product must be an integer")
 
-        monkeypatch.setattr(cli, "count_report", broken)
+        monkeypatch.setattr(experiments, "count_report", broken)
         code, text = invoke(["experiment", "counts", "--n-max", "5"])
         assert code == 3 and text == ""
         err = capsys.readouterr().err
@@ -455,7 +455,7 @@ class TestInternalErrors:
                        "the triple product must be an integer\n")
 
     def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "count_report", lambda *a: 1 // 0)
+        monkeypatch.setattr(experiments, "count_report", lambda *a: 1 // 0)
         code, _ = invoke(["experiment", "counts", "--n-max", "5"])
         assert code == 3
         err = capsys.readouterr().err

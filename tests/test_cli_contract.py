@@ -9,18 +9,26 @@ request belongs to the admission check (ROADMAP item 4), not to the readers.
 The pins are sha256 digests, recorded before the CLI's kind tables existed,
 of the exit codes and stdout of every ``render`` kind and format and every
 ``convert`` arrow over whole small families.
+
+Fresh interpreters check what a request imports (each verb imports the
+package modules it uses on first use), and that a request answers the same
+bytes whether it runs alone or in a process with every module loaded.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from positroids import cli
+from positroids import cli, experiments  # noqa: F401  (loads every package module)
 from positroids.catalan import (
     enumerate_dyck_paths,
     enumerate_path_pairs,
@@ -207,3 +215,77 @@ def test_convert_bytes_are_pinned(source, target):
 def test_every_kind_and_arrow_is_pinned():
     assert set(RENDER_PINS) == {(k, f) for k in cli._KINDS for f in ("svg", "ascii")}
     assert set(ARROW_PINS) == set(cli._ARROWS)
+
+
+# ----------------------------------------------------------------------
+# fresh processes: what a request imports, and that import order changes no byte
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+# run one request in this interpreter, then list the package modules it loaded
+_PROBE = ("import sys\n"
+          "from positroids import cli\n"
+          "code = cli.run(sys.argv[1:])\n"
+          "sys.stdout.flush()\n"
+          "print(code, *sorted(m for m in sys.modules if m.startswith('positroids')),"
+          " file=sys.stderr)\n")
+
+
+def _spawn(args, stdin_text=""):
+    proc = subprocess.run([sys.executable, *args], input=stdin_text, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": _SRC}, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _loaded(argv, stdin_text=""):
+    """Exit code and the package modules a fresh ``cli.run(argv)`` leaves loaded."""
+    _, _, err = _spawn(["-c", _PROBE, *argv], stdin_text)
+    code, *modules = err.splitlines()[-1].split()
+    return int(code), {m.removeprefix("positroids.") for m in modules}
+
+
+def test_importing_the_cli_loads_no_package_module():
+    probe = ("import sys, positroids.cli; "
+             "print(*sorted(m for m in sys.modules if m.startswith('positroids')))")
+    _, out, _ = _spawn(["-c", probe])
+    assert out.split() == ["positroids", "positroids.cli", "positroids.errors"]
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["enumerate", "--kind", "dyck", "--n", "8", "--k", "2"],
+     {"plabic", "linalg", "signs", "experiments"}),
+    (["enumerate", "--kind", "diagram", "--n", "8", "--k", "3", "--m", "2"],
+     {"catalan", "plabic"}),
+    (["sample", "--n", "7", "--k", "2", "--m", "4", "--cell", "0", "--seed", "5"],
+     {"signs", "experiments"}),
+])
+def test_a_verb_imports_only_what_it_uses(argv, unused):
+    code, modules = _loaded(argv)
+    assert code == 0
+    assert not modules & unused, modules & unused
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["enumerate", "--kind", "lattice", "--n", "6", "--k", "1"], ""),
+    (["convert", "--from", "dyck", "--to", "tree"], '"UD"'),
+    (["enumerate", "--kind", "tree", "--k", "1"], ""),
+    (["verify", "--kind", "diagram"], "{"),
+])
+def test_a_usage_error_imports_nothing(argv, stdin_text):
+    assert _loaded(argv, stdin_text) == (2, {"positroids", "cli", "errors"})
+
+
+def _pinned_input(argv, payloads) -> str:
+    """The first input of a pinned family that the request accepts, else its first."""
+    texts = [json.dumps(payload) for payload in payloads]
+    return next((text for text in texts if invoke(argv, text)[0] == 0), texts[0])
+
+
+@pytest.mark.parametrize("argv, kind", [
+    *[(["render", "--kind", k, "--format", f], k) for k, f in sorted(RENDER_PINS)],
+    *[(["convert", "--from", s, "--to", t], s) for s, t in sorted(ARROW_PINS)],
+])
+def test_a_fresh_process_prints_what_a_loaded_one_does(argv, kind):
+    # in this process every package module is loaded: see the import of experiments
+    text = _pinned_input(argv, _FAMILIES[kind])
+    code, out, _ = invoke(argv, text)
+    assert _spawn(["-m", "positroids.cli", *argv], text)[:2] == (code, out)
