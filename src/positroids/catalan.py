@@ -568,6 +568,10 @@ class NoncrossingPathTuple:
         return cls(tuple(data["paths"]))
 
 
+# the largest a x b x c box (each side counted at least once) read from JSON
+_MAX_BOX_CELLS = 100_000
+
+
 @dataclass(frozen=True)
 class PlanePartition:
     """Array in an a x b box, entries <= c, weakly decreasing both ways."""
@@ -608,10 +612,17 @@ class PlanePartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlanePartition":
-        a, b = _int(data["a"]), _int(data["b"])
+        a, b, c = _int(data["a"]), _int(data["b"]), _int(data["c"])
+        # checked before padding, which allocates the whole a x b array
+        if min(a, b, c) < 0:
+            raise BadRange(f"box dimensions must be nonnegative, got {(a, b, c)}")
+        if max(a, 1) * max(b, 1) * max(c, 1) > _MAX_BOX_CELLS:
+            raise BadRange(f"box {(a, b, c)} has more than {_MAX_BOX_CELLS} cells")
+        if len(data["rows"]) > a or any(len(r) > b for r in data["rows"]):
+            raise BadRange(f"rows do not fit in the {a}x{b} array")
         rows = [tuple(map(_int, r)) + (0,) * (b - len(r)) for r in data["rows"]]
         rows += [(0,) * b] * (a - len(rows))
-        return cls(a, b, _int(data["c"]), tuple(rows))
+        return cls(a, b, c, tuple(rows))
 
 
 def paths_to_plane_partition(paths) -> PlanePartition:

@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from .diagrams import OPlusDiagram, is_le_diagram
@@ -446,6 +447,8 @@ def base_square() -> PlabicGraph:
 
 
 _FAMILY_CACHE: dict[tuple[int, int, int], tuple[PlabicGraph, ...]] = {}
+# the tree word of each m=4 family member, in family order (see _family)
+_TREE_WORDS: dict[tuple[int, int], tuple[str, ...]] = {}
 
 
 def enumerate_bcfw_graphs(n: int, k: int, m: int) -> list[PlabicGraph]:
@@ -481,22 +484,38 @@ def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
                         seen.add(child)
                         out.append(child)
         else:
+            # Each member carries its binary tree's word: nodes in preorder,
+            # horizontal child first, "1" internal and "0" leaf, so the j-th
+            # "0" (from 0) is leaf j+2.  Blowing up boundary i turns leaf i
+            # into a cherry, "0" -> "100".  Commuting blow-ups reach the same
+            # word, and only its first construction is built.
+            words: list[str] = []
             if n == 4:
-                out = [base_square()] if k == 2 else []
+                out, words = ([base_square()], ["100"]) if k == 2 else ([], [])
             else:
                 parents = []
                 if k <= n - 3:
-                    parents += [(g, BLACK) for g in _family(n - 1, k, 4)]
+                    parents += zip(_family(n - 1, k, 4), _TREE_WORDS[n - 1, k], repeat(BLACK))
                 if k >= 3:
-                    parents += [(g, WHITE) for g in _family(n - 1, k - 1, 4)]
-                for g, want in parents:
+                    parents += zip(_family(n - 1, k - 1, 4), _TREE_WORDS[n - 1, k - 1],
+                                   repeat(WHITE))
+                known: set[str] = set()
+                for g, word, want in parents:
+                    leaves = [p for p, bit in enumerate(word) if bit == "0"]
                     for i in range(2, n - 1):
                         anchor = g.boundary_neighbor(i)
                         if anchor < 0 and g.colors[anchor] == want:
+                            at = leaves[i - 2]
+                            child_word = word[:at] + "100" + word[at + 1:]
+                            if child_word in known:
+                                continue
+                            known.add(child_word)
                             child = blow_up(g, i)
                             if child not in seen:
                                 seen.add(child)
                                 out.append(child)
+                                words.append(child_word)
+            _TREE_WORDS[(n, k)] = tuple(words)
         _FAMILY_CACHE[key] = tuple(out)
     return _FAMILY_CACHE[key]
 

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -431,6 +432,22 @@ class TestUsage:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert "expected an integer" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("payload", [
+        {"a": 100000000, "b": 0, "c": 0, "rows": []},
+        {"a": 2, "b": -1, "c": 2, "rows": []},
+        {"a": 1, "b": 2, "c": 2, "rows": [[1], [1]]},
+        {"a": 2, "b": 1, "c": 2, "rows": [[2, 1]]},
+        {"a": 1000, "b": 1000, "c": 1, "rows": [[1]]},
+    ], ids=["tall-empty-box", "negative-side", "extra-row", "long-row", "huge-box"])
+    def test_plane_partition_box_checked_before_allocating(self, payload, capsys):
+        start = time.perf_counter()
+        code, text = invoke(["render", "--kind", "planepartition", "--format", "ascii"],
+                            json.dumps(payload))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "positroids: error: " in err and "internal error" not in err
 
     def test_deeply_nested_tree(self, capsys):
         tree = '"leaf"'

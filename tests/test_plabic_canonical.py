@@ -13,9 +13,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from positroids import plabic
+from positroids.catalan import BinaryTree, enumerate_trees, tree_to_graph
 from positroids.permutations import BLACK, WHITE
 from positroids.plabic import (
     PlabicGraph,
+    base_square,
     bcfw_permutations,
     blow_up,
     enumerate_bcfw_graphs,
@@ -25,6 +28,9 @@ from positroids.plabic import (
 # sha256 of the family bytes (see test_family_bytes_are_pinned), recorded
 # with the sorted reference form as the canonical form
 FAMILY_SHA256 = "472195f5466a38ef421fdeaa9f79bd7aa90390bb26a2562053317c2f75cfea0a"
+# the m=4 graph and permutation bytes for n = 11 and 12, recorded while the
+# family still built every blow-up and deduplicated afterwards
+FAMILY_SHA256_11_12 = "fcf59bfc6d4dcd6e5d4f47144b2bee2df6eb1a2136bea2c87b9c46ed0258c1e8"
 
 
 def reference_form(g: PlabicGraph) -> tuple:
@@ -169,3 +175,97 @@ def test_family_bytes_are_pinned():
                 perms = bcfw_permutations(n, k, m)
                 digest.update(json.dumps([p.to_json() for p in perms]).encode())
     assert digest.hexdigest() == FAMILY_SHA256
+
+
+def test_larger_m4_family_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for n in (11, 12):
+        for k in range(2, n - 1):
+            graphs = enumerate_bcfw_graphs(n, k, 4)
+            digest.update(json.dumps([g.to_json() for g in graphs]).encode())
+        for k in range(0, n - 3):
+            perms = bcfw_permutations(n, k, 4)
+            digest.update(json.dumps([p.to_json() for p in perms]).encode())
+    assert digest.hexdigest() == FAMILY_SHA256_11_12
+
+
+# ----------------------------------------------------------------------
+# the m=4 family keys blow-ups by tree word before building them
+
+M4_FAMILIES = [(n, k) for n in range(4, 13) for k in range(2, n - 1)]
+_REFERENCE: dict[tuple[int, int], tuple[PlabicGraph, ...]] = {}
+
+
+def reference_family(n: int, k: int) -> tuple[PlabicGraph, ...]:
+    """The m=4 family as first built: every anchored blow-up of every
+    parent, deduplicated by canonical form afterwards."""
+    if (n, k) not in _REFERENCE:
+        out, seen = [], set()
+        if n == 4:
+            out = [base_square()] if k == 2 else []
+        else:
+            parents = []
+            if k <= n - 3:
+                parents += [(g, BLACK) for g in reference_family(n - 1, k)]
+            if k >= 3:
+                parents += [(g, WHITE) for g in reference_family(n - 1, k - 1)]
+            for g, want in parents:
+                for i in range(2, n - 1):
+                    anchor = g.boundary_neighbor(i)
+                    if anchor < 0 and g.colors[anchor] == want:
+                        child = blow_up(g, i)
+                        if child not in seen:
+                            seen.add(child)
+                            out.append(child)
+        _REFERENCE[(n, k)] = tuple(out)
+    return _REFERENCE[(n, k)]
+
+
+def encode(tree: BinaryTree) -> str:
+    if tree.is_leaf:
+        return "0"
+    return "1" + encode(tree.horizontal) + encode(tree.vertical)
+
+
+def decode(word: str) -> BinaryTree:
+    bits = iter(word)
+
+    def node() -> BinaryTree:
+        if next(bits) == "0":
+            return BinaryTree()
+        horizontal = node()
+        return BinaryTree(horizontal, node())
+
+    tree = node()
+    assert next(bits, None) is None
+    return tree
+
+
+def test_family_matches_build_then_dedupe():
+    for n, k in M4_FAMILIES:
+        graphs = enumerate_bcfw_graphs(n, k, 4)
+        reference = reference_family(n, k)
+        assert [g.to_json() for g in graphs] == [g.to_json() for g in reference]
+
+
+def test_words_are_the_family_trees():
+    for n, k in M4_FAMILIES:
+        graphs = enumerate_bcfw_graphs(n, k, 4)
+        words = plabic._TREE_WORDS[(n, k)]
+        assert len(words) == len(graphs)
+        assert sorted(words) == sorted(encode(t) for t in enumerate_trees(n, k - 2))
+        if n <= 10:
+            for g, word in zip(graphs, words):
+                assert tree_to_graph(decode(word)) == g
+
+
+def test_one_blow_up_per_kept_child(monkeypatch):
+    calls = []
+    real = plabic.blow_up
+    monkeypatch.setattr(plabic, "blow_up", lambda g, i: calls.append(i) or real(g, i))
+    monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(plabic, "_TREE_WORDS", {})
+    for n, k in M4_FAMILIES:
+        calls.clear()
+        graphs = plabic._family(n, k, 4)
+        assert len(calls) == (len(graphs) if n > 4 else 0)
