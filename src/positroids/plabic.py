@@ -515,7 +515,7 @@ def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
                                 seen.add(child)
                                 out.append(child)
                                 words.append(child_word)
-            _TREE_WORDS[(n, k)] = tuple(words)
+            _TREE_WORDS[n, k] = tuple(words)
         _FAMILY_CACHE[key] = tuple(out)
     return _FAMILY_CACHE[key]
 
