@@ -22,7 +22,7 @@ from .catalan import enumerate_dyck_paths, enumerate_path_pairs, enumerate_trees
 from .diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD, \
     pipe_dream_permutation
 from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted, _frac
-from .linalg import RationalMatrix, _sample_seed, find_kernel_vector_with_signs, \
+from .linalg import RationalMatrix, _plucker_key, _sample_seed, find_kernel_vector_with_signs, \
     gr_equal, make_tp_matrix, plucker, positroid_membership, rref, sample_cell, z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
 from .signs import m2_standard_basis, p_domino_basis, standard_basis_k2, var
@@ -148,7 +148,7 @@ def disjointness_experiment(n: int, k: int, m: int,
                 m2_standard_basis(point.matrix, cell)
             elif k == 2:
                 standard_basis_k2(point.matrix, diagram)
-            source = plucker(point.matrix).coords
+            source = _plucker_key(point.matrix)
             image = z_map(z, point.matrix).coords
             # keyed on exact (numerator, denominator) pairs, which hash
             # several times faster than Fractions or their strings

@@ -13,16 +13,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .diagrams import OPlusDiagram
 from .errors import (
+    BadRange,
     NotTotallyPositive,
     RankDeficient,
     RankLoss,
     ShapeMismatch,
     _frac,
+    _int,
 )
 from .plabic import Network, build_network
 
@@ -57,6 +59,23 @@ class RationalMatrix:
         elif width is None:
             width = 0
         object.__setattr__(self, "cols", width)
+
+    @classmethod
+    def _built(cls, entries, cols: int, ints) -> "RationalMatrix":
+        """Package-built values only: Fraction tuples and their primitive integer rows."""
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(entries=entries, cols=cols, _ints=ints)
+        return matrix
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], ...]:
+        """Each row as a primitive integer row, cleared once per matrix."""
+        return tuple(_primitive_rows(self.entries))
+
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], ...]:
+        """The whole grid times one common denominator (rows keep their ratios)."""
+        return tuple(map(tuple, _cleared(self.entries)[0]))
 
     @property
     def rows(self) -> int:
@@ -109,14 +128,14 @@ def _cleared(entries) -> tuple[list[list[int]], int]:
     return [[x.numerator * (scale // x.denominator) for x in row] for row in entries], scale
 
 
-def _primitive_rows(entries) -> list[list[int]]:
+def _primitive_rows(entries) -> list[tuple[int, ...]]:
     """Each row times a positive rational: a primitive integer row (zero stays zero)."""
-    out = []
-    for row in entries:
-        (ints,), _ = _cleared((row,))
-        g = math.gcd(*ints)
-        out.append([x // g for x in ints] if g > 1 else ints)
-    return out
+    return [_primitive(_cleared((row,))[0][0]) for row in entries]
+
+
+def _primitive(ints) -> tuple[int, ...]:
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def _eliminate(grid: list[list[int]]) -> tuple[list[int], int, int]:
@@ -171,7 +190,7 @@ def _integer_kernel(grid: list[list[int]], pivots: list[int], cols: int) -> list
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    grid = _primitive_rows(matrix.entries)
+    grid = list(matrix._ints)
     pivots, _, _ = _eliminate(grid)
     # rows past the rank are zero; each pivot row is divided by its lead once
     reduced = tuple(
@@ -194,15 +213,16 @@ def _lex_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(sum(1 << j for j in cols) for cols in itertools.combinations(range(n), k))
 
 
-def _maximal_minors(matrix: RationalMatrix) -> list[int]:
-    """All k x k minors in lex column order, times one positive constant.
+def _maximal_minors(rows, width: int) -> list[int]:
+    """All maximal minors of integer rows in lex column order (on a matrix's
+    ``_ints``, its minors times one positive constant).
 
-    Laplace expansion along each primitive integer row in turn: the nonzero
-    minors of the first r rows, keyed by column bitmask, grow into those of
-    the first r + 1 rows, so sub-minors are shared and zero entries skipped.
+    Laplace expansion along each row in turn: the nonzero minors of the first
+    r rows, keyed by column bitmask, grow into those of the first r + 1 rows,
+    so sub-minors are shared and zero entries skipped.
     """
     layer = {0: 1}
-    for r, row in enumerate(_primitive_rows(matrix.entries)):
+    for r, row in enumerate(rows):
         entries = [(1 << j, a) for j, a in enumerate(row) if a]
         grown: dict[int, int] = {}
         get = grown.get
@@ -213,7 +233,10 @@ def _maximal_minors(matrix: RationalMatrix) -> list[int]:
                     odd = (r + (cols & (bit - 1)).bit_count()) & 1
                     grown[cols | bit] = get(cols | bit, 0) + (-a if odd else a) * value
         layer = {cols: value for cols, value in grown.items() if value}
-    return [layer.get(cols, 0) for cols in _lex_masks(matrix.cols, matrix.rows)]
+    return [layer.get(cols, 0) for cols in _lex_masks(width, len(rows))]
+
+
+_MAX_COORDS = 1_000_000  # from_json lists every coordinate: bound what input can ask for
 
 
 @dataclass(frozen=True)
@@ -235,6 +258,13 @@ class GrassmannPoint:
         if lead != 1:
             coords = tuple(x / lead for x in coords)
         object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _built(cls, k: int, n: int, coords: tuple[Fraction, ...]) -> "GrassmannPoint":
+        """Package-built values only: C(n, k) Fractions, the first nonzero one 1."""
+        point = object.__new__(cls)
+        point.__dict__.update(k=k, n=n, coords=coords)
+        return point
 
     def subsets(self) -> list[tuple[int, ...]]:
         return _lex_subsets(self.n, self.k)
@@ -262,23 +292,41 @@ class GrassmannPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannPoint":
-        k, n = data["k"], data["n"]
-        table = {
-            tuple(int(i) for i in key.split(",") if i): _frac(value)
-            for key, value in data["plucker"].items()
-        }
-        coords = tuple(table.get(s, _ZERO) for s in _lex_subsets(n, k))
-        return cls(k, n, coords)
+        """Read keys as ``to_json`` writes them: increasing k-subsets of 1..n."""
+        k, n = _int(data["k"]), _int(data["n"])
+        if not 0 <= k <= n or math.comb(n, k) > _MAX_COORDS:
+            raise BadRange(f"need 0 <= k <= n and C(n, k) <= {_MAX_COORDS}, got k={k}, n={n}")
+        table = {",".join(map(str, s)): _ZERO for s in _lex_subsets(n, k)}  # in lex order
+        for key, value in data["plucker"].items():
+            if key not in table:
+                raise BadRange(f"{key!r} is not an increasing {k}-subset of 1..{n}")
+            table[key] = _frac(value)
+        return cls(k, n, tuple(table.values()))
+
+
+def _lead(minors: list[int], rows: int) -> int:
+    lead = next((x for x in minors if x), None)
+    if lead is None:
+        raise RankDeficient(f"matrix has rank below {rows}")
+    return lead
+
+
+def _point(minors: list[int], k: int, n: int) -> GrassmannPoint:
+    lead = _lead(minors, k)
+    return GrassmannPoint._built(k, n, tuple(Fraction(x, lead) if x else _ZERO for x in minors))
 
 
 def plucker(matrix: RationalMatrix) -> GrassmannPoint:
     """Projective vector of maximal minors of a full-row-rank matrix."""
-    minors = _maximal_minors(matrix)
-    lead = next((x for x in minors if x), None)
-    if lead is None:
-        raise RankDeficient(f"matrix has rank below {matrix.rows}")
-    coords = tuple(Fraction(x, lead) if x else _ZERO for x in minors)
-    return GrassmannPoint(matrix.rows, matrix.cols, coords)
+    return _point(_maximal_minors(matrix._ints, matrix.cols), matrix.rows, matrix.cols)
+
+
+def _plucker_key(matrix: RationalMatrix) -> tuple[int, ...]:
+    """The primitive integer Plücker vector with a positive lead: two matrices
+    have equal keys exactly when ``plucker`` gives them equal points."""
+    minors = _maximal_minors(matrix._ints, matrix.cols)
+    g = math.gcd(*minors) * _sign(_lead(minors, matrix.rows))
+    return tuple(x // g for x in minors)
 
 
 def gr_equal(p: GrassmannPoint, q: GrassmannPoint) -> bool:
@@ -297,8 +345,12 @@ def parameterize(diagram: OPlusDiagram, values: Mapping[str, object]) -> Rationa
 
 
 def _boundary_matrix(network: Network, values: Mapping[str, object]) -> RationalMatrix:
-    """``parameterize`` for a network already built."""
-    return RationalMatrix(tuple(map(tuple, network.matrix(values))), cols=network.n)
+    """``parameterize`` for a network already built: one Fraction per nonzero
+    entry, and the network's integer rows made primitive, never re-cleared."""
+    rows = network._int_rows(values)
+    entries = tuple(tuple(Fraction(x, row[s - 1]) if x else _ZERO for x in row)
+                    for row, s in zip(rows, network.sources))
+    return RationalMatrix._built(entries, network.n, tuple(map(_primitive, rows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,9 +397,9 @@ def _unit_support(diagram: OPlusDiagram) -> frozenset:
 
 def positroid_membership(matrix: RationalMatrix, diagram: OPlusDiagram) -> bool:
     """Nonnegative Plücker vector supported exactly on the diagram's positroid."""
-    point = plucker(matrix)
     if (matrix.rows, matrix.cols) != (diagram.k, diagram.n):
         raise ShapeMismatch(f"{matrix.rows}x{matrix.cols} matrix for Gr({diagram.k},{diagram.n})")
+    point = plucker(matrix)
     if any(x < 0 for x in point.coords):
         return False
     return point.support == _unit_support(diagram)
@@ -366,7 +418,8 @@ def _tp_cached(rows: int, n: int, nodes: Optional[tuple]) -> RationalMatrix:
     matrix = RationalMatrix(
         tuple(tuple(t ** i for t in nodes) for i in range(rows)), cols=n
     )
-    for cols, value in zip(itertools.combinations(range(n), rows), _maximal_minors(matrix)):
+    minors = _maximal_minors(matrix._ints, n)
+    for cols, value in zip(itertools.combinations(range(n), rows), minors):
         if value <= 0:
             # the integer minors carry a positive scale; report the true value
             square = RationalMatrix(tuple(tuple(row[c] for c in cols) for row in matrix.entries))
@@ -388,11 +441,9 @@ def z_map(z: RationalMatrix, v: RationalMatrix) -> GrassmannPoint:
     if v.cols != z.cols:
         raise ShapeMismatch(f"ambient sizes differ: {v.cols} vs {z.cols}")
     # one scale for all of z: scaling its rows apart would move the point
-    z_rows, _ = _cleared(z.entries)
-    image = tuple(tuple(sum(a * b for a, b in zip(row, z_row)) for z_row in z_rows)
-                  for row in _primitive_rows(v.entries))
+    image = [[sum(a * b for a, b in zip(row, z_row)) for z_row in z._scaled] for row in v._ints]
     try:
-        return plucker(RationalMatrix(image, cols=z.rows))
+        return _point(_maximal_minors(image, z.rows), v.rows, z.rows)
     except RankDeficient as exc:
         raise RankLoss("the map dropped rank; check the preconditions") from exc
 
@@ -403,7 +454,7 @@ def z_map(z: RationalMatrix, v: RationalMatrix) -> GrassmannPoint:
 
 def kernel_basis(z: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the right null space, scaled to primitive integers."""
-    grid = _primitive_rows(z.entries)
+    grid = list(z._ints)
     pivots, _, _ = _eliminate(grid)
     return [tuple(map(Fraction, v)) for v in _integer_kernel(grid, pivots, z.cols)]
 
@@ -428,74 +479,51 @@ def _sign_seq(pattern, n: int) -> list[int]:
     return out
 
 
-def _solve(grid: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """The unique solution of an exact system with at least as many equations
-    as unknowns; None when there is none or more than one."""
-    size = len(grid[0]) if grid else 0
-    work = _primitive_rows([row + [b] for row, b in zip(grid, rhs)])
+def _solve(work: list) -> Optional[tuple[list[int], int]]:
+    """The unique solution of an augmented integer system with at least as
+    many equations as unknowns, as numerators over one positive denominator;
+    None when there is none or more than one.  Eliminates ``work`` in place."""
+    size = len(work[0]) - 1 if work else 0
     pivots, _, _ = _eliminate(work)
     if pivots != list(range(size)):
         return None
-    return [Fraction(work[r][size], work[r][r]) for r in range(size)]
+    den = math.lcm(*(work[r][r] for r in range(size)))
+    return [work[r][size] * (den // work[r][r]) for r in range(size)], den
 
 
-def _phase1_feasible(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    """Exact phase-1 simplex for {u >= 0 : A u = b}; Bland's rule throughout."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    table = []
-    for r in range(m):
-        row = rows[r][:]
-        b = rhs[r]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        table.append(row + [Fraction(0)] * m + [b])
-        table[r][n + r] = Fraction(1)
-    basis = [n + r for r in range(m)]
-    # reduced costs for minimizing the artificial sum
-    obj = [Fraction(0)] * (n + m + 1)
-    for r in range(m):
-        for c in range(n + m + 1):
-            obj[c] -= table[r][c]
-    for c in range(n, n + m):
-        obj[c] += 1
+def _phase1_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
+    """Exact phase-1 simplex for {u >= 0 : A u = b}; Bland's rule throughout.
 
+    Fraction-free: each tableau row, and the reduced costs of the artificial
+    sum kept as the last row, is a positive multiple of its Fraction
+    counterpart on integers, so every sign and every ratio is unchanged.
+    """
+    m, n = len(rows), len(rows[0]) if rows else 0
+    table = [[x if b >= 0 else -x for x in row] + [int(c == r) for c in range(m)] + [abs(b)]
+             for r, (row, b) in enumerate(zip(rows, rhs))]
+    table.append([(n <= c < n + m) - sum(row[c] for row in table) for c in range(n + m + 1)])
+    table = _primitive_rows(table)
+    basis = list(range(n, n + m))
     while True:
-        entering = next((c for c in range(n + m) if obj[c] < 0), None)
+        entering = next((c for c in range(n + m) if table[m][c] < 0), None)
         if entering is None:
             break
-        best = None
-        for r in range(m):
-            coef = table[r][entering]
-            if coef > 0:
-                ratio = table[r][-1] / coef
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[r] < basis[best[1]]
-                ):
-                    best = (ratio, r)
-        if best is None:
+        ratios = [(Fraction(row[-1], row[entering]), basis[r], r)
+                  for r, row in enumerate(table[:m]) if row[entering] > 0]
+        if not ratios:
             return None  # unbounded phase-1 cannot happen, bail out anyway
-        r = best[1]
-        lead = table[r][entering]
-        table[r] = [x / lead for x in table[r]]
-        for rr in range(m):
-            if rr != r and table[rr][entering]:
-                factor = table[rr][entering]
-                table[rr] = [a - factor * b for a, b in zip(table[rr], table[r])]
-        if obj[entering]:
-            factor = obj[entering]
-            obj = [a - factor * b for a, b in zip(obj, table[r])]
+        r = min(ratios)[2]
+        pivot, lead = table[r], table[r][entering]
+        for rr, row in enumerate(table):
+            if rr != r and row[entering]:
+                table[rr] = _primitive([lead * a - row[entering] * b for a, b in zip(row, pivot)])
         basis[r] = entering
-
-    if obj[-1] != 0:
+    if table[m][-1]:
         return None
-    solution = [Fraction(0)] * n
+    solution = [_ZERO] * n
     for r, var in enumerate(basis):
         if var < n:
-            solution[var] = table[r][-1]
+            solution[var] = Fraction(table[r][-1], table[r][var])
     return solution
 
 
@@ -511,18 +539,22 @@ def find_kernel_vector_with_signs(
     ``_PROJECTION_TRIES`` misses, an exact feasibility LP settles the question.
     """
     signs = _sign_seq(pattern, z.cols)
-    basis = kernel_basis(z)
+    basis = [[x.numerator for x in u] for u in kernel_basis(z)]
     if basis:
         rng = random.Random(seed)
         gram = [[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis]
         for _ in range(_PROJECTION_TRIES):
-            target = [s * Fraction(rng.randint(1, 50), rng.randint(1, 50)) for s in signs]
-            coeffs = _solve(gram, [sum(a * b for a, b in zip(u, target)) for u in basis])
-            if coeffs is None:
+            draws = [(s * rng.randint(1, 50), rng.randint(1, 50)) for s in signs]
+            scale = math.lcm(*(q for _, q in draws))  # the target times scale, on integers
+            target = [p * (scale // q) for p, q in draws]
+            solution = _solve([row + [sum(a * b for a, b in zip(u, target))]
+                               for row, u in zip(gram, basis)])
+            if solution is None:
                 break
+            coeffs, den = solution
             v = [sum(c * u[t] for c, u in zip(coeffs, basis)) for t in range(z.cols)]
             if all(_sign(x) == s for x, s in zip(v, signs)):
-                return tuple(v)
+                return tuple(Fraction(x, den * scale) for x in v)
     # complete fallback: v_i = sign_i (u_i + 1) with u >= 0 and Z v = 0
     rows = [[row[j] * signs[j] for j in range(z.cols)] for row in z.entries]
     rhs = [-sum((row[j] * signs[j] for j in range(z.cols)), Fraction(0))

@@ -712,6 +712,12 @@ class Network:
 
     def matrix(self, values: Mapping[str, object]) -> list[list[Fraction]]:
         """Boundary measurements: signed path sums, one row per source."""
+        rows = self._int_rows(values)
+        return [[Fraction(x, row[s - 1]) for x in row] for row, s in zip(rows, self.sources)]
+
+    def _int_rows(self, values: Mapping[str, object]) -> list[list[int]]:
+        """``matrix`` on integers: each row times its one positive denominator,
+        which is then the row's entry at its own source."""
         missing = [name for name in self.variables if name not in values]
         if missing:
             raise MissingVariable(f"no value for {', '.join(missing)}")
@@ -754,15 +760,15 @@ class Network:
 
         rows = []
         for s in self.sources:
-            row = [Fraction(0)] * (self.n + 1)
-            row[s] = Fraction(1)
+            row = [0] * (self.n + 1)
+            row[s] = 1
             if s in entry:
                 name, head = entry[s]
                 depth, sums = paths[head]
-                denominator = scale ** (depth + 1)
+                row[s] = scale ** (depth + 1)
                 for label, x in sums.items():
                     between = sum(1 for t in self.sources if s < t < label)
-                    row[label] = Fraction((-1) ** between * weight[name] * x, denominator)
+                    row[label] = (-1) ** between * weight[name] * x
             rows.append(row[1:])
         return rows
 

@@ -28,7 +28,7 @@ from .errors import (
     _frac,
 )
 from .linalg import _ZERO, RationalMatrix, _eliminate, _integer_kernel, \
-    _primitive_rows, _sign, _solve, rref
+    _primitive_rows, _sign, _solve
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
@@ -420,7 +420,7 @@ def standard_basis_k2(
     one, else TemplateMismatch.
     """
     n = matrix.cols
-    grid = _primitive_rows(matrix.entries)
+    grid = list(matrix._ints)
     pivots, _, _ = _eliminate(grid)
     if len(pivots) != 2:
         raise TemplateMismatch("need a two-dimensional row space")
@@ -496,12 +496,12 @@ def m2_standard_basis(
     if matrix.cols != n:
         raise ShapeMismatch(f"matrix width {matrix.cols}, diagram needs {n}")
     sources = diagram.sources()
-    reduced, pivots = rref(matrix)
+    rows = list(matrix._ints)
+    pivots, _, _ = _eliminate(rows)
     if len(pivots) != k:
         raise TemplateMismatch("sample does not have full rank")
     if tuple(p + 1 for p in pivots) != sources:
-        raise TemplateMismatch(f"pivots {pivots} miss the sources {sources}")
-    rows = [list(r) for r in reduced.entries]
+        raise TemplateMismatch(f"pivots {tuple(pivots)} miss the sources {sources}")
     source_set = set(sources)
     for i in range(k - 1):
         if sources[i + 1] != sources[i] + 1:
@@ -509,15 +509,16 @@ def m2_standard_basis(
         j = next(
             c for c in range(sources[i] + 1, n + 1) if c not in source_set
         )
-        if rows[i + 1][j - 1] == 0:
-            if rows[i][j - 1] != 0:
+        below, here = rows[i + 1][j - 1], rows[i][j - 1]
+        if below == 0:
+            if here != 0:
                 raise TemplateMismatch(f"cannot clear column {j} of row {i + 1}")
             continue
-        factor = -rows[i][j - 1] / rows[i + 1][j - 1]
-        rows[i] = [x + factor * y for x, y in zip(rows[i], rows[i + 1])]
+        rows[i] = [below * x - here * y for x, y in zip(rows[i], rows[i + 1])]
     out = []
     for i, row in enumerate(rows, start=1):
         s = sources[i - 1]
+        lead = row[s - 1]  # the reduced row is row / lead, with 1 at its pivot
         allowed = {s - 1, s, n - 1}
         for col in range(n):
             if col not in allowed and row[col] != 0:
@@ -525,11 +526,11 @@ def m2_standard_basis(
                     f"row {i} carries weight outside {{{s}, {s + 1}, {n}}}"
                 )
         last_sign = 1 if (k - i) % 2 == 0 else -1
-        if row[s - 1] <= 0 or (s < n and row[s] <= 0):
+        if s < n and lead * row[s] <= 0:
             raise TemplateMismatch(f"row {i} is not positive at its source pair")
-        if last_sign * row[n - 1] <= 0:
+        if last_sign * lead * row[n - 1] <= 0:
             raise TemplateMismatch(f"row {i} ends with the wrong sign")
-        out.append(tuple(row))
+        out.append(tuple(Fraction(x, lead) if x else _ZERO for x in row))
     return out
 
 
@@ -635,7 +636,7 @@ def p_domino_basis(
     n, k = path.n, path.k
     if matrix.cols != n or matrix.rows != k:
         raise ShapeMismatch(f"need a {k} x {n} matrix for this path")
-    grid = _primitive_rows(matrix.entries)
+    grid = list(matrix._ints)
     pivots, _, _ = _eliminate(grid)
     if len(pivots) != k:
         raise ShapeMismatch("sample does not have full rank")
@@ -671,13 +672,14 @@ def p_domino_basis(
         signs4 = (1, 1, eps, eps)
         # the row f + (p, q, eps r, eps s) on cols is orthogonal to the kernel
         f_support = [(j, x) for j, x in enumerate(f_vec) if x]
-        solution = _solve(
-            [[sg * w[c] for sg, c in zip(signs4, cols)] for w in kernel],
-            [-sum(x * w[j] for j, x in f_support) for w in kernel],
-        )
+        solution = _solve(_primitive_rows([
+            [sg * w[c] for sg, c in zip(signs4, cols)] + [-sum(x * w[j] for j, x in f_support)]
+            for w in kernel
+        ]))
         if solution is None:
             return None
-        p, q, r, s = solution
+        numerators, den = solution
+        p, q, r, s = (Fraction(x, den) for x in numerators)
         if p <= 0 or q <= 0 or r <= 0 or s <= 0:
             return None
         row = list(f_vec)

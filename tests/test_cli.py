@@ -383,6 +383,20 @@ class TestUsage:
             code, text = invoke(argv)
             assert code == 2 and text == ""
 
+    @pytest.mark.parametrize("entry", [lambda i, j: (i + 1) ** j, lambda i, j: 0],
+                             ids=["full-rank", "rank-deficient"])
+    def test_membership_shape_checked_before_minors(self, entry, capsys):
+        # an 11x22 matrix for a k=1 diagram: C(22,11) minors if the shape came second
+        payload = json.dumps({
+            "diagram": {"k": 1, "n": 22, "shape": [21], "rows": ["+" * 21]},
+            "matrix": [[str(entry(i, j)) for j in range(22)] for i in range(11)],
+        })
+        start = time.perf_counter()
+        code, text = invoke(["verify", "--kind", "membership"], payload)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and text == ""
+        assert "11x22 matrix for Gr(1,22)" in capsys.readouterr().err
+
     def test_nonpositive_count_rejected(self):
         for count in ("-1", "0"):
             code, text = invoke(["sample", "--n", "6", "--k", "1", "--count", count])

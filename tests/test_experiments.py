@@ -127,6 +127,33 @@ class TestM3Counterexample:
         checks = report.witnesses[0]["checks"]
         assert all(checks.values())
 
+    def test_equal_points_are_a_violation(self, monkeypatch):
+        # every other check still holds, so only distinct_points can fail
+        from positroids import experiments
+        fixed = experiments.plucker(RationalMatrix(((1, 0) + (0,) * 10, (0, 1) + (0,) * 10)))
+        monkeypatch.setattr(experiments, "plucker", lambda matrix: fixed)
+        report = m3_counterexample(seed=0)
+        checks = report.witnesses[0]["checks"]
+        assert checks["distinct_points"] is False
+        assert [name for name, ok in checks.items() if not ok] == ["distinct_points"]
+        assert report.verdict == "violation"
+
+    def test_vector_off_the_kernel_is_a_violation(self, monkeypatch):
+        from positroids import experiments
+        real = experiments.find_kernel_vector_with_signs
+
+        def perturbed(z, pattern, seed=0):
+            v = list(real(z, pattern, seed=seed))
+            v[4] *= 2  # same signs, so both cells are still hit
+            return tuple(v)
+
+        monkeypatch.setattr(experiments, "find_kernel_vector_with_signs", perturbed)
+        report = m3_counterexample(seed=0)
+        checks = report.witnesses[0]["checks"]
+        assert checks["difference_in_kernel"] is False
+        assert checks["first_membership"] and checks["second_membership"]
+        assert report.verdict == "violation"
+
     def test_kernel_vector_pattern(self):
         report = m3_counterexample(seed=0)
         vals = [RationalMatrix.from_json([report.witnesses[0]["kernel_vector"]]).entries[0]]

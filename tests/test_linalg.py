@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from positroids.diagrams import (
     pipe_dream_permutation,
 )
 from positroids.errors import (
+    BadRange,
     MissingVariable,
     NotTotallyPositive,
     RankDeficient,
@@ -205,6 +207,34 @@ class TestPlucker:
         with pytest.raises(TypeError):
             GrassmannPoint.from_json({"k": 1, "n": 2, "plucker": {"1": 1, "2": 0.5}})
 
+    def test_json_round_trip_of_rank_zero(self):
+        p = GrassmannPoint(0, 3, (1,))
+        assert p.to_json()["plucker"] == {"": "1"}
+        assert GrassmannPoint.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("k, n", [(True, 2), (1, False), (1, 2.0), ("1", 2)])
+    def test_json_sizes_must_be_integers(self, k, n):
+        with pytest.raises(TypeError):
+            GrassmannPoint.from_json({"k": k, "n": n, "plucker": {"1": "1"}})
+
+    @pytest.mark.parametrize("k, n", [(-1, 2), (3, 2), (10, 60)])
+    def test_json_sizes_out_of_range(self, k, n):
+        with pytest.raises(BadRange):
+            GrassmannPoint.from_json({"k": k, "n": n, "plucker": {"1": "1"}})
+
+    def test_json_huge_grassmannian_refused_at_once(self):
+        # C(60, 10) is about 7.5e10: refused before any subset is listed
+        start = time.perf_counter()
+        with pytest.raises(BadRange):
+            GrassmannPoint.from_json({"k": 10, "n": 60, "plucker": {"1,2,3,4,5,6,7,8,9,10": "1"}})
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("key", ["7", "2,1", "1,1", "1,2,3", "0,1", "1, 2", "01,2", "", "1,"])
+    def test_json_keys_must_be_increasing_subsets(self, key):
+        # each of these used to be dropped or misread without a word
+        with pytest.raises(BadRange):
+            GrassmannPoint.from_json({"k": 2, "n": 3, "plucker": {"1,2": "1", key: "5"}})
+
     def test_not_all_zero(self):
         with pytest.raises(ValueError):
             GrassmannPoint(1, 2, (0, 0))
@@ -279,7 +309,7 @@ class TestMembership:
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
-            positroid_membership(RationalMatrix(((0, 0, 0), (0, 0, 0))), TEN)
+            positroid_membership(RationalMatrix(((0,) * 10,) * 4), TEN)
 
     def test_shape_mismatch(self):
         row = OPlusDiagram.from_rows(1, 3, ["++"])
@@ -287,6 +317,9 @@ class TestMembership:
             positroid_membership(RationalMatrix(((1, 1),)), row)
         with pytest.raises(ShapeMismatch):
             positroid_membership(RationalMatrix(((1, 1, 1), (0, 1, 2))), row)
+        # the shape is checked before any minor, so rank cannot mask it
+        with pytest.raises(ShapeMismatch):
+            positroid_membership(RationalMatrix(((0, 0, 0), (0, 0, 0))), TEN)
 
 
 class TestMakeTP:

@@ -3,13 +3,17 @@
 Maximal minors, determinants and the induced map are checked against the
 Leibniz formula and the Cauchy–Binet expansion written out here; ``rref``
 against the Fraction Gauss–Jordan elimination it replaced; Plücker vectors
-of sampled cells against the three-term Plücker relations.
+of sampled cells against the three-term Plücker relations; the integer Gram
+projection and fraction-free simplex of ``find_kernel_vector_with_signs``
+against the Fraction versions they replaced; package-built matrices and
+points against the public constructors.
 """
 
 import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,14 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids.diagrams import enumerate_diagrams, le_normalize
-from positroids.errors import NotTotallyPositive, RankLoss
+from positroids.errors import NotTotallyPositive, RankDeficient, RankLoss
 from positroids.experiments import conjecture_sweeps, disjointness_experiment, \
     m3_counterexample
 from positroids.linalg import (
     GrassmannPoint,
     RationalMatrix,
     _maximal_minors,
+    _phase1_feasible,
+    _plucker_key,
+    _primitive_rows,
+    _sample_seed,
     _solve,
+    find_kernel_vector_with_signs,
+    gr_equal,
     kernel_basis,
     make_tp_matrix,
     plucker,
@@ -75,6 +85,94 @@ def fraction_rref(matrix):
     return tuple(tuple(r) for r in grid), tuple(pivots)
 
 
+def fraction_projection(z, pattern, seed):
+    """The Fraction Gram projection ``find_kernel_vector_with_signs`` ran
+    before it moved onto integers; None when it hands over to the simplex."""
+    signs = [1 if c == "+" else -1 for c in pattern]
+    basis = kernel_basis(z)
+    rng = random.Random(seed)
+    gram = [[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis]
+    for _ in range(40):
+        target = [s * Fraction(rng.randint(1, 50), rng.randint(1, 50)) for s in signs]
+        rhs = [sum(a * b for a, b in zip(u, target)) for u in basis]
+        reduced, pivots = fraction_rref(RationalMatrix(
+            tuple(tuple(row) + (b,) for row, b in zip(gram, rhs))))
+        if pivots != tuple(range(len(basis))):
+            return None
+        coeffs = [row[-1] for row in reduced]
+        v = [sum(c * u[t] for c, u in zip(coeffs, basis)) for t in range(z.cols)]
+        if all((x > 0) - (x < 0) == s for x, s in zip(v, signs)):
+            return tuple(v)
+    return None
+
+
+def fraction_phase1(rows, rhs):
+    """The Fraction phase-1 simplex (Bland's rule) ``_phase1_feasible`` replaced."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    table = []
+    for r in range(m):
+        row = rows[r][:]
+        b = rhs[r]
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        table.append(row + [Fraction(0)] * m + [b])
+        table[r][n + r] = Fraction(1)
+    basis = [n + r for r in range(m)]
+    # reduced costs for minimizing the artificial sum
+    obj = [Fraction(0)] * (n + m + 1)
+    for r in range(m):
+        for c in range(n + m + 1):
+            obj[c] -= table[r][c]
+    for c in range(n, n + m):
+        obj[c] += 1
+
+    while True:
+        entering = next((c for c in range(n + m) if obj[c] < 0), None)
+        if entering is None:
+            break
+        best = None
+        for r in range(m):
+            coef = table[r][entering]
+            if coef > 0:
+                ratio = table[r][-1] / coef
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[r] < basis[best[1]]
+                ):
+                    best = (ratio, r)
+        if best is None:
+            return None  # unbounded phase-1 cannot happen, bail out anyway
+        r = best[1]
+        lead = table[r][entering]
+        table[r] = [x / lead for x in table[r]]
+        for rr in range(m):
+            if rr != r and table[rr][entering]:
+                factor = table[rr][entering]
+                table[rr] = [a - factor * b for a, b in zip(table[rr], table[r])]
+        if obj[entering]:
+            factor = obj[entering]
+            obj = [a - factor * b for a, b in zip(obj, table[r])]
+        basis[r] = entering
+
+    if obj[-1] != 0:
+        return None
+    solution = [Fraction(0)] * n
+    for r, var in enumerate(basis):
+        if var < n:
+            solution[var] = table[r][-1]
+    return solution
+
+
+def fraction_fallback(z, pattern):
+    """The exact fallback of ``find_kernel_vector_with_signs``, on the Fraction simplex."""
+    signs = [1 if c == "+" else -1 for c in pattern]
+    rows = [[row[j] * signs[j] for j in range(z.cols)] for row in z.entries]
+    rhs = [-sum((row[j] * signs[j] for j in range(z.cols)), Fraction(0)) for row in z.entries]
+    u = fraction_phase1(rows, rhs)
+    return None if u is None else tuple(signs[j] * (u[j] + 1) for j in range(z.cols))
+
+
 # ----------------------------------------------------------------------
 # random exact matrices: negative and fractional entries, zero rows, and
 # rows that are combinations of others
@@ -114,7 +212,7 @@ def matrices(draw, max_rows=4, max_cols=8, wide=True):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_minors_are_leibniz_times_one_positive_constant(matrix):
-    minors = _maximal_minors(matrix)
+    minors = _maximal_minors(matrix._ints, matrix.cols)
     truth = leibniz_minors(matrix.entries, matrix.cols)
     assert all(type(x) is int for x in minors)
     assert len(minors) == len(truth)
@@ -148,11 +246,14 @@ def test_det_matches_leibniz(grid):
 def test_solve_matches_leibniz(augmented):
     grid = [row[:-1] for row in augmented]
     rhs = [row[-1] for row in augmented]
-    solution = _solve([[Fraction(x) for x in row] for row in grid], [Fraction(b) for b in rhs])
+    solution = _solve(_primitive_rows(augmented))
     if leibniz(grid) == 0:
         assert solution is None
     else:
-        assert [sum(a * x for a, x in zip(row, solution)) for row in grid] == rhs
+        numerators, den = solution
+        assert den > 0
+        assert [sum(a * x for a, x in zip(row, numerators)) for row in grid] == \
+            [den * b for b in rhs]
 
 
 @settings(max_examples=200, deadline=None)
@@ -258,3 +359,61 @@ def test_outputs_are_pinned():
                        reduced.to_json(), pivots, kernel]
             digest.update(json.dumps(outputs, sort_keys=True).encode())
     assert digest.hexdigest() == OUTPUTS_SHA256
+
+
+# ----------------------------------------------------------------------
+# the integer sampling path against the Fraction code it replaced
+
+
+def test_kernel_vector_is_the_fraction_projection_or_simplex_vector():
+    # the m3-counterexample bytes rest on this vector: identical, not merely valid
+    z = make_tp_matrix(5, 12)
+    routes = set()
+    for pattern in ("++--++--++--", "+-+-+-+-+-+-", "++++++------", "+--+--+--+-+"):
+        for seed in range(21):
+            expected = fraction_projection(z, pattern, seed)
+            if expected is None:
+                expected = fraction_fallback(z, pattern)
+                routes.add("simplex" if expected else "none")
+            else:
+                routes.add("projection")
+            assert find_kernel_vector_with_signs(z, pattern, seed) == expected
+    assert routes == {"projection", "simplex", "none"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 6).flatmap(lambda n: grids(m, n + 1))))
+def test_phase1_matches_the_fraction_simplex(augmented):
+    rows = [[Fraction(x) for x in row[:-1]] for row in augmented]
+    rhs = [Fraction(row[-1]) for row in augmented]
+    assert _phase1_feasible(rows, rhs) == fraction_phase1(rows, rhs)
+
+
+@pytest.mark.parametrize("n, k, m", [(8, 2, 4), (8, 3, 2), (9, 4, 2)])
+def test_built_samples_match_the_public_constructors(n, k, m):
+    z = make_tp_matrix(k + m, n)
+    samples = []
+    for ci, diagram in enumerate(enumerate_diagrams(n, k, m)):
+        cell = le_normalize(diagram) if m == 4 else diagram
+        for s in range(2):
+            matrix = sample_cell(cell, rng=_sample_seed(11, ci, s)).matrix
+            assert list(matrix._ints) == _primitive_rows(matrix.entries)
+            rebuilt = RationalMatrix(matrix.entries, cols=matrix.cols)
+            assert rebuilt == matrix and rebuilt._ints == matrix._ints
+            for point in (plucker(matrix), z_map(z, matrix)):
+                assert GrassmannPoint(point.k, point.n, point.coords) == point
+            # the same row span through a row operation of determinant -1,
+            # which flips the sign of every minor
+            rows = matrix.entries
+            moved = RationalMatrix((tuple(b - a for a, b in zip(rows[0], rows[1])),) + rows[1:])
+            samples += [matrix, moved]
+    keys = [_plucker_key(matrix) for matrix in samples]
+    points = [plucker(matrix) for matrix in samples]
+    for i, j in itertools.combinations(range(len(samples)), 2):
+        assert (keys[i] == keys[j]) == gr_equal(points[i], points[j])
+    assert sum(keys[i] == keys[i + 1] for i in range(0, len(keys), 2)) == len(keys) // 2
+
+
+def test_plucker_key_of_a_rank_deficient_matrix():
+    with pytest.raises(RankDeficient):
+        _plucker_key(RationalMatrix(((1, 2, 3), (2, 4, 6))))

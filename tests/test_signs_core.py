@@ -108,7 +108,7 @@ def rank_two_pairs(draw):
         scale = draw(rationals)
         rows[0][dst], rows[1][dst] = scale * rows[0][src], scale * rows[1][src]
     matrix = RationalMatrix(rows)
-    if not any(_maximal_minors(matrix)):
+    if not any(_maximal_minors(matrix._ints, matrix.cols)):
         rows[0][0], rows[1][1], rows[0][1], rows[1][0] = 1, 1, 0, 0
         matrix = RationalMatrix(rows)
     return matrix
