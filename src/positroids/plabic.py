@@ -452,7 +452,12 @@ _TREE_WORDS: dict[tuple[int, int], tuple[str, ...]] = {}
 
 
 def enumerate_bcfw_graphs(n: int, k: int, m: int) -> list[PlabicGraph]:
-    """All graphs of the recursive family, deduplicated up to isomorphism."""
+    """All graphs of the recursive family, one per cell.
+
+    Members are distinct by construction (see `_family`); the trip
+    permutation and build-then-dedupe tests in test_plabic_canonical.py
+    and a CI guard for n = 13, 14 check it.
+    """
     if m == 2:
         if n < 2 or not 1 <= k <= n - 1:
             raise BadRange(f"no m=2 graph family for n={n}, k={k}")
@@ -465,24 +470,21 @@ def enumerate_bcfw_graphs(n: int, k: int, m: int) -> list[PlabicGraph]:
 
 
 def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
+    # No graph is compared here: members are distinct by construction.  An
+    # m=2 member is named by its split word (boundary n sits on the last
+    # split's vertex, which folds back to the parent; Pascal's rule on the
+    # C(n-2, k-1) words), an m=4 member by its tree word, built once.
     key = (n, k, m)
     if key not in _FAMILY_CACHE:
         out: list[PlabicGraph] = []
-        seen: set[PlabicGraph] = set()
         if m == 2:
             if n == 2:
                 out = [base_bridge()] if k == 1 else []
             else:
-                parents = []
                 if k <= n - 2:
-                    parents += [(g, WHITE) for g in _family(n - 1, k, 2)]
+                    out += [split(g, n - 1, WHITE) for g in _family(n - 1, k, 2)]
                 if k >= 2:
-                    parents += [(g, BLACK) for g in _family(n - 1, k - 1, 2)]
-                for g, color in parents:
-                    child = split(g, n - 1, color)
-                    if child not in seen:
-                        seen.add(child)
-                        out.append(child)
+                    out += [split(g, n - 1, BLACK) for g in _family(n - 1, k - 1, 2)]
         else:
             # Each member carries its binary tree's word: nodes in preorder,
             # horizontal child first, "1" internal and "0" leaf, so the j-th
@@ -507,13 +509,9 @@ def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
                         if anchor < 0 and g.colors[anchor] == want:
                             at = leaves[i - 2]
                             child_word = word[:at] + "100" + word[at + 1:]
-                            if child_word in known:
-                                continue
-                            known.add(child_word)
-                            child = blow_up(g, i)
-                            if child not in seen:
-                                seen.add(child)
-                                out.append(child)
+                            if child_word not in known:
+                                known.add(child_word)
+                                out.append(blow_up(g, i))
                                 words.append(child_word)
             _TREE_WORDS[n, k] = tuple(words)
         _FAMILY_CACHE[key] = tuple(out)

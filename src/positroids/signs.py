@@ -493,8 +493,8 @@ def m2_standard_basis(
     the last place.
     """
     k, n = diagram.k, diagram.n
-    if matrix.cols != n:
-        raise ShapeMismatch(f"matrix width {matrix.cols}, diagram needs {n}")
+    if (matrix.rows, matrix.cols) != (k, n):
+        raise ShapeMismatch(f"{matrix.rows}x{matrix.cols} matrix for Gr({k},{n})")
     sources = diagram.sources()
     rows = list(matrix._ints)
     pivots, _, _ = _eliminate(rows)

@@ -9,6 +9,7 @@ canonical form exactly when they agree under the reference.
 import hashlib
 import json
 import random
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +19,13 @@ from positroids.catalan import BinaryTree, enumerate_trees, tree_to_graph
 from positroids.permutations import BLACK, WHITE
 from positroids.plabic import (
     PlabicGraph,
+    base_bridge,
     base_square,
     bcfw_permutations,
     blow_up,
     enumerate_bcfw_graphs,
     split,
+    trip_permutation,
 )
 
 # sha256 of the family bytes (see test_family_bytes_are_pinned), recorded
@@ -269,3 +272,72 @@ def test_one_blow_up_per_kept_child(monkeypatch):
         calls.clear()
         graphs = plabic._family(n, k, 4)
         assert len(calls) == (len(graphs) if n > 4 else 0)
+
+
+# ----------------------------------------------------------------------
+# family members are distinct by construction: nothing is deduplicated
+
+_REFERENCE_M2: dict[tuple[int, int], tuple[PlabicGraph, ...]] = {}
+
+
+def reference_m2_family(n: int, k: int) -> tuple[PlabicGraph, ...]:
+    """The m=2 family as first built: every parent split at its last
+    boundary, deduplicated by canonical form afterwards."""
+    if (n, k) not in _REFERENCE_M2:
+        children = []
+        if n == 2:
+            children = [base_bridge()] if k == 1 else []
+        else:
+            if k <= n - 2:
+                children += [split(g, n - 1, WHITE) for g in reference_m2_family(n - 1, k)]
+            if k >= 2:
+                children += [split(g, n - 1, BLACK) for g in reference_m2_family(n - 1, k - 1)]
+        out, seen = [], set()
+        for g in children:
+            if g not in seen:
+                seen.add(g)
+                out.append(g)
+        _REFERENCE_M2[(n, k)] = tuple(out)
+    return _REFERENCE_M2[(n, k)]
+
+
+def test_m2_family_matches_split_then_dedupe():
+    for n in range(2, 12):
+        for k in range(1, n):
+            graphs = enumerate_bcfw_graphs(n, k, 2)
+            reference = reference_m2_family(n, k)
+            assert [g.to_json() for g in graphs] == [g.to_json() for g in reference]
+
+
+def families_up_to(n_max: int) -> list[tuple[int, int, int]]:
+    return [(n, k, 2) for n in range(2, n_max + 1) for k in range(1, n)] + [
+        (n, k, 4) for n in range(4, n_max + 1) for k in range(2, n - 1)
+    ]
+
+
+def cell_count(n: int, k: int, m: int) -> int:
+    """C(n-2, k-1) split words for m=2, Narayana N(n-3, k-1) trees for m=4."""
+    if m == 2:
+        return comb(n - 2, k - 1)
+    a, b = n - 3, k - 1
+    return comb(a, b) * comb(a, b - 1) // a
+
+
+def test_families_have_distinct_trip_permutations():
+    # isomorphic graphs share a trip permutation, so pairwise distinct
+    # permutations show the members pairwise distinct with no canonical form
+    for n, k, m in families_up_to(12):
+        graphs = enumerate_bcfw_graphs(n, k, m)
+        perms = {trip_permutation(g) for g in graphs}
+        assert len(graphs) == len(perms) == cell_count(n, k, m), (n, k, m)
+
+
+def test_families_are_built_without_canonical_forms(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a family build computed a canonical form")
+
+    monkeypatch.setattr(PlabicGraph, "canonical_form", refuse)
+    monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(plabic, "_TREE_WORDS", {})
+    for n, k, m in families_up_to(10):
+        assert len(enumerate_bcfw_graphs(n, k, m)) == cell_count(n, k, m)

@@ -432,6 +432,15 @@ class TestM2StandardBasis:
                 OPlusDiagram.from_rows(2, 4, ["++", "+"]),
             )
 
+    def test_row_count_must_be_k(self):
+        # rank 1 like the diagram, but a second (proportional) row: refused
+        # by shape before the elimination could drop the zero row
+        with pytest.raises(ShapeMismatch):
+            m2_standard_basis(
+                RationalMatrix(((1, 1, 0, 1), (2, 2, 0, 2))),
+                enumerate_diagrams(4, 1, 2)[0],
+            )
+
     def test_wrong_sources_rejected(self):
         cells = enumerate_diagrams(6, 2, 2)
         src_groups = {}
