@@ -24,6 +24,7 @@ from .errors import (
     MissingVariable,
     NonLollipopFixedPoint,
     NotLe,
+    NotReduced,
     _frac,
     _int,
 )
@@ -205,11 +206,13 @@ class PlabicGraph:
     @classmethod
     def from_json(cls, data: Mapping) -> "PlabicGraph":
         n = _int(data["n"])
-        colors = {_int(item["id"]): str(item["color"]) for item in data["internal"]}
+        colors = {_int(item["id"]): item["color"] for item in data["internal"]}
         edges = tuple((_int(a), _int(b)) for a, b in data["edges"])
         if not isinstance(data["rotation"], Mapping):
             raise TypeError("rotation must map each vertex to its half-edges")
         rotation = {int(v): tuple(_int(h) for h in hs) for v, hs in data["rotation"].items()}
+        if [str(v) for v in rotation] != list(data["rotation"]):
+            raise ValueError("rotation keys must be vertex ids in plain decimal, each once")
         return cls(n, colors, edges, rotation)
 
     def to_svg(self) -> str:
@@ -280,20 +283,10 @@ def trip_permutation(graph: PlabicGraph) -> DecoratedPermutation:
     successor.  A wire returning to its start must come from a lollipop,
     whose color decorates the fixed point.
     """
-    ends, pos, rotation, colors = graph._ends, graph._pos, graph.rotation, graph.colors
     images = []
     white = set()
     for i in range(1, graph.n + 1):
-        cur = rotation[i][0]
-        while True:
-            arriving = cur ^ 1
-            end = ends[arriving]
-            if end > 0:
-                break
-            halves = rotation[end]
-            step = -1 if colors[end] == BLACK else 1
-            cur = halves[(pos[arriving] + step) % len(halves)]
-        images.append(end)
+        images.append(end := _trip_end(graph, i))
         if end == i:
             neighbor = graph.boundary_neighbor(i)
             if neighbor > 0 or graph.degree(neighbor) != 1:
@@ -303,6 +296,20 @@ def trip_permutation(graph: PlabicGraph) -> DecoratedPermutation:
             if graph.colors[neighbor] == WHITE:
                 white.add(i)
     return DecoratedPermutation(graph.n, tuple(images), frozenset(white))
+
+
+def _trip_end(graph: PlabicGraph, b: int, back: bool = False) -> int:
+    """Where the trip from boundary b ends, or with ``back`` where the one into b starts."""
+    ends, pos, rotation, colors = graph._ends, graph._pos, graph.rotation, graph.colors
+    cur = rotation[b][0]
+    while True:
+        arriving = cur ^ 1
+        end = ends[arriving]
+        if end > 0:
+            return end
+        halves = rotation[end]
+        step = -1 if (colors[end] == BLACK) != back else 1
+        cur = halves[(pos[arriving] + step) % len(halves)]
 
 
 def k_statistic(graph: PlabicGraph) -> int:
@@ -449,6 +456,8 @@ def base_square() -> PlabicGraph:
 _FAMILY_CACHE: dict[tuple[int, int, int], tuple[PlabicGraph, ...]] = {}
 # the tree word of each m=4 family member, in family order (see _family)
 _TREE_WORDS: dict[tuple[int, int], tuple[str, ...]] = {}
+# the unshifted trip images of each family member, in family order
+_TRIPS: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 def enumerate_bcfw_graphs(n: int, k: int, m: int) -> list[PlabicGraph]:
@@ -473,59 +482,94 @@ def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
     # No graph is compared here: members are distinct by construction.  An
     # m=2 member is named by its split word (boundary n sits on the last
     # split's vertex, which folds back to the parent; Pascal's rule on the
-    # C(n-2, k-1) words), an m=4 member by its tree word, built once.
+    # C(n-2, k-1) words), an m=4 member by its tree word, built once.  Its
+    # trips come from its parent's by the surgery's rule (`bcfw_permutations`).
     key = (n, k, m)
     if key not in _FAMILY_CACHE:
-        out: list[PlabicGraph] = []
+        out, words, trips = [], [], []  # members, m=4 tree words, trip images
         if m == 2:
-            if n == 2:
-                out = [base_bridge()] if k == 1 else []
-            else:
-                if k <= n - 2:
-                    out += [split(g, n - 1, WHITE) for g in _family(n - 1, k, 2)]
-                if k >= 2:
-                    out += [split(g, n - 1, BLACK) for g in _family(n - 1, k - 1, 2)]
+            if n == 2 and k == 1:
+                out, trips = [base_bridge()], [(2, 1)]
+            for kk, color in ((k, WHITE), (k - 1, BLACK)):
+                if 1 <= kk <= n - 2:
+                    out += [split(g, n - 1, color) for g in _family(n - 1, kk, 2)]
+                    trips += [_child_trips(t, n - 1, color) for t in _TRIPS[n - 1, kk, 2]]
         else:
             # Each member carries its binary tree's word: nodes in preorder,
             # horizontal child first, "1" internal and "0" leaf, so the j-th
             # "0" (from 0) is leaf j+2.  Blowing up boundary i turns leaf i
             # into a cherry, "0" -> "100".  Commuting blow-ups reach the same
             # word, and only its first construction is built.
-            words: list[str] = []
-            if n == 4:
-                out, words = ([base_square()], ["100"]) if k == 2 else ([], [])
-            else:
-                parents = []
-                if k <= n - 3:
-                    parents += zip(_family(n - 1, k, 4), _TREE_WORDS[n - 1, k], repeat(BLACK))
-                if k >= 3:
-                    parents += zip(_family(n - 1, k - 1, 4), _TREE_WORDS[n - 1, k - 1],
-                                   repeat(WHITE))
-                known: set[str] = set()
-                for g, word, want in parents:
-                    leaves = [p for p, bit in enumerate(word) if bit == "0"]
-                    for i in range(2, n - 1):
-                        anchor = g.boundary_neighbor(i)
-                        if anchor < 0 and g.colors[anchor] == want:
-                            at = leaves[i - 2]
-                            child_word = word[:at] + "100" + word[at + 1:]
-                            if child_word not in known:
-                                known.add(child_word)
-                                out.append(blow_up(g, i))
-                                words.append(child_word)
+            if n == 4 and k == 2:
+                out, words, trips = [base_square()], ["100"], [(3, 4, 1, 2)]
+            parents = []
+            for kk, want in ((k, BLACK), (k - 1, WHITE)):
+                if 2 <= kk <= n - 3:
+                    parents += zip(_family(n - 1, kk, 4), _TREE_WORDS[n - 1, kk],
+                                   _TRIPS[n - 1, kk, 4], repeat(want))
+            known: set[str] = set()
+            for g, word, images, want in parents:
+                leaves = [p for p, bit in enumerate(word) if bit == "0"]
+                for i in range(2, n - 1):
+                    anchor = g.boundary_neighbor(i)
+                    if anchor < 0 and g.colors[anchor] == want:
+                        at = leaves[i - 2]
+                        child_word = word[:at] + "100" + word[at + 1:]
+                        if child_word not in known:
+                            known.add(child_word)
+                            out.append(child := blow_up(g, i))
+                            words.append(child_word)
+                            trips.append(_child_trips(images, i, want, child))
             _TREE_WORDS[n, k] = tuple(words)
-        _FAMILY_CACHE[key] = tuple(out)
+        _FAMILY_CACHE[key], _TRIPS[key] = tuple(out), tuple(trips)
     return _FAMILY_CACHE[key]
 
 
+def _child_trips(images, i: int, color: str, child=None) -> tuple[int, ...]:
+    """Trip images after a ``color`` split at i, or the blow-up ``child`` at a ``color`` anchor."""
+    sigma = [0] + [x + (x > i) for x in images]  # from 1: r(pi(j)) at r(j)
+    sigma.insert(i + 1, 0)  # r skips i+1
+    rp = sigma.index(i)  # r(P), as only r(P) -> r(i) = i
+    if child is None:
+        if color == WHITE:
+            sigma[i], sigma[i + 1], sigma[rp] = i + 1, sigma[i], i
+        else:
+            sigma[i + 1], sigma[rp] = i, i + 1
+        return tuple(sigma[1:])
+    t, b = (i + 1, i) if color == WHITE else (i, i + 1)
+    if color == BLACK:
+        sigma[i + 1] = sigma[i]
+    sigma[rp] = t
+    s = _trip_end(child, b, back=True)
+    if s in (i, i + 1, rp):
+        raise NotReduced(f"the trip from {s} passes the blown-up vertex at {i} twice")
+    sigma[t], sigma[s] = sigma[s], b
+    return tuple(sigma[1:])
+
+
 def bcfw_permutations(n: int, k: int, m: int) -> list[DecoratedPermutation]:
-    """Shifted trip permutations of the graph family, fixed points black."""
+    """Shifted trip permutations of the graph family, fixed points black.
+
+    Trips are carried from parent to child, not traced.  With r(x) = x + (x > i)
+    and P the trip into i, a surgery at i keeps r(j) -> r(pi(j)) for other j.  A
+    split's new vertex turns i, i+1: white i -> i+1, i+1 -> r(pi(i)), r(P) -> i;
+    black i+1 -> i, r(P) -> i+1.  A blow-up's square sends i, i+1 out along e, f
+    and arrivals along e, f to i, i+1.  White anchor: r(P) -> i+1, and the trip s
+    into i (traced back in the child) ends at i, its old end going to i+1.  Black:
+    i+1 -> r(pi(i)), r(P) -> i, and s into i+1 ends there, its old end going to i.
+    Past the new vertices a trip runs as in the parent, for a reduced graph's trip
+    passes each vertex once (checked: s not in {i, i+1, r(P)}).  Traced trips check
+    every family, in order: test_plabic_canonical.py for n <= 12, CI n = 13, 14.
+    """
     if m not in (2, 4):
         raise BadRange(f"permutation families exist for m in {{2, 4}}, not m={m}")
     if k < 0 or k > n - m:
         raise BadRange(f"no permutation family for n={n}, k={k}, m={m}")
     shift = m // 2
-    return [trip_permutation(g).left_shift(shift) for g in _family(n, k + shift, m)]
+    _family(n, k + shift, m)
+    moved = [(v - shift - 1) % n + 1 for v in range(n + 1)]
+    return [DecoratedPermutation(n, tuple(map(moved.__getitem__, images)), frozenset())
+            for images in _TRIPS[n, k + shift, m]]
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,32 @@ def test_any_json_keeps_the_exit_code_contract(case):
     assert invoke(argv, text)[1] == out
 
 
+_BRIDGE = '{"n":2,"internal":[],"edges":[[1,2]],"rotation":%s}'
+_PLAIN_BRIDGE = _BRIDGE % '{"1":[0],"2":[1]}'
+_STAR = ('{"n":3,"internal":[{"id":-1,"color":%s}],"edges":[[1,-1],[-1,2],[-1,3]],'
+         '"rotation":{"1":[0],"2":[3],"3":[5],"-1":[1,2,4]}}')
+
+
+@pytest.mark.parametrize("payload, plain", [
+    (_BRIDGE % '{"1":[0],"0_2":[1]}', _PLAIN_BRIDGE),
+    (_BRIDGE % '{"1":[0],"٢":[1]}', _PLAIN_BRIDGE),
+    (_BRIDGE % '{"1":[5]," 1":[0],"2":[1]}', _PLAIN_BRIDGE),
+    (_BRIDGE % '{"1":[0],"+2":[1]}', _PLAIN_BRIDGE),
+    (_BRIDGE % '{"01":[0],"2":[1]}', _PLAIN_BRIDGE),
+    (_STAR % '1', _STAR % '"white"'),
+    (_STAR % '["white"]', _STAR % '"white"'),
+], ids=["underscore-key", "arabic-digit-key", "space-key-overwrites", "plus-key",
+        "zero-padded-key", "int-color", "list-color"])
+def test_graph_keys_and_colors_are_read_exactly(payload, plain):
+    # a rotation key is read only in plain decimal, so no two keys name one
+    # vertex, and a color only as a string
+    argv = ["convert", "--from", "graph", "--to", "permutation"]
+    assert invoke(argv, plain)[0] == 0
+    code, out, err = invoke(argv, payload)
+    assert code == 2 and out == "", (code, out)
+    assert "positroids: error: " in err and "internal error" not in err
+
+
 # ----------------------------------------------------------------------
 # pinned bytes
 

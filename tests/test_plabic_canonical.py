@@ -11,11 +11,13 @@ import json
 import random
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids import plabic
 from positroids.catalan import BinaryTree, enumerate_trees, tree_to_graph
+from positroids.errors import NotReduced
 from positroids.permutations import BLACK, WHITE
 from positroids.plabic import (
     PlabicGraph,
@@ -268,6 +270,7 @@ def test_one_blow_up_per_kept_child(monkeypatch):
     monkeypatch.setattr(plabic, "blow_up", lambda g, i: calls.append(i) or real(g, i))
     monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
     monkeypatch.setattr(plabic, "_TREE_WORDS", {})
+    monkeypatch.setattr(plabic, "_TRIPS", {})
     for n, k in M4_FAMILIES:
         calls.clear()
         graphs = plabic._family(n, k, 4)
@@ -339,5 +342,53 @@ def test_families_are_built_without_canonical_forms(monkeypatch):
     monkeypatch.setattr(PlabicGraph, "canonical_form", refuse)
     monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
     monkeypatch.setattr(plabic, "_TREE_WORDS", {})
+    monkeypatch.setattr(plabic, "_TRIPS", {})
     for n, k, m in families_up_to(10):
         assert len(enumerate_bcfw_graphs(n, k, m)) == cell_count(n, k, m)
+
+
+# ----------------------------------------------------------------------
+# trip permutations are carried through the recursion, not traced
+
+
+def test_carried_permutations_equal_traced_ones_in_order():
+    for n, k, m in families_up_to(12):
+        shift = m // 2
+        traced = [trip_permutation(g).left_shift(shift) for g in enumerate_bcfw_graphs(n, k, m)]
+        assert bcfw_permutations(n, k - shift, m) == traced, (n, k, m)
+
+
+def test_permutation_families_are_built_without_tracing(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("a permutation family traced a graph")
+
+    monkeypatch.setattr(plabic, "trip_permutation", refuse)
+    monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(plabic, "_TREE_WORDS", {})
+    monkeypatch.setattr(plabic, "_TRIPS", {})
+    for n, k, m in families_up_to(10):
+        perms = bcfw_permutations(n, k - m // 2, m)
+        assert len(set(perms)) == cell_count(n, k, m), (n, k, m)
+
+
+def test_base_trips_are_the_traced_ones():
+    enumerate_bcfw_graphs(2, 1, 2), enumerate_bcfw_graphs(4, 2, 4)
+    assert plabic._TRIPS[2, 1, 2] == (trip_permutation(base_bridge()).images,)
+    assert plabic._TRIPS[4, 2, 4] == (trip_permutation(base_square()).images,)
+
+
+def test_blow_up_rule_refuses_a_trip_through_the_square_twice():
+    # a real blow-up, its parent's images crafted so that the trip into i
+    # starts where the trip the square cuts starts: only in a graph that is
+    # not reduced can one trip pass the anchor twice like that
+    g, images = enumerate_bcfw_graphs(7, 3, 4)[0], plabic._TRIPS[7, 3, 4][0]
+    i = next(i for i in range(2, 8) if g.degree(g.boundary_neighbor(i)) == 3)
+    color = g.colors[g.boundary_neighbor(i)]
+    child = blow_up(g, i)
+    assert plabic._child_trips(images, i, color, child) == trip_permutation(child).images
+    s = plabic._trip_end(child, i if color == WHITE else i + 1, back=True)
+    crafted = list(images)
+    p, q = images.index(i), s - (s > i) - 1  # P and r^-1(s), counted from 0
+    crafted[p], crafted[q] = crafted[q], crafted[p]
+    with pytest.raises(NotReduced):
+        plabic._child_trips(tuple(crafted), i, color, child)
