@@ -285,10 +285,16 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _read_json(stdin: TextIO):
-    """The JSON document on stdin; Infinity, -Infinity and NaN are refused."""
+    """The JSON document on stdin; Infinity, -Infinity, NaN and repeated keys are refused."""
     def refuse(token: str):
         raise ValueError(f"{token} is not a JSON number")
-    return json.load(stdin, parse_constant=refuse)
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            raise ValueError("a key is repeated within one JSON object")
+        return obj
+    return json.load(stdin, parse_constant=refuse, object_pairs_hook=unique)
 
 
 def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
@@ -340,10 +346,8 @@ def _cmd_sample(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     result = []
     for ci in indices:
         cell = diagrams.le_normalize(cells[ci]) if args.m == 4 else cells[ci]
-        draws = [
-            linalg.sample_cell(cell, rng=linalg._sample_seed(args.seed, ci, s)).to_json()
-            for s in range(args.count)
-        ]
+        rngs = (linalg._sample_seed(args.seed, ci, s) for s in range(args.count))
+        draws = [point.to_json() for point in linalg._cell_samples(cell, rngs)]
         result.append({"cell": ci, "diagram": cells[ci].to_json(), "samples": draws})
     json.dump(result, out)
     out.write("\n")

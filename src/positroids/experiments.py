@@ -22,8 +22,9 @@ from .catalan import enumerate_dyck_paths, enumerate_path_pairs, enumerate_trees
 from .diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD, \
     pipe_dream_permutation
 from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted, _frac
-from .linalg import RationalMatrix, _plucker_key, _sample_seed, find_kernel_vector_with_signs, \
-    gr_equal, make_tp_matrix, plucker, positroid_membership, rref, sample_cell, z_map
+from .linalg import RationalMatrix, _cell_samples, _plucker_key, _sample_seed, \
+    find_kernel_vector_with_signs, gr_equal, make_tp_matrix, plucker, positroid_membership, rref, \
+    z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
 from .signs import m2_standard_basis, p_domino_basis, standard_basis_k2, var
 
@@ -142,19 +143,18 @@ def disjointness_experiment(n: int, k: int, m: int,
     verdict = "pass"
     for ci, diagram in enumerate(cells):
         cell = le_normalize(diagram) if m == 4 else diagram
-        for s in range(samples):
-            point = sample_cell(cell, rng=_sample_seed(seed, ci, s))
+        rngs = (_sample_seed(seed, ci, s) for s in range(samples))
+        for s, point in enumerate(_cell_samples(cell, rngs)):
             if m == 2:
                 m2_standard_basis(point.matrix, cell)
             elif k == 2:
                 standard_basis_k2(point.matrix, diagram)
-            source = _plucker_key(point.matrix)
-            image = z_map(z, point.matrix).coords
-            # keyed on exact (numerator, denominator) pairs, which hash
-            # several times faster than Fractions or their strings
-            entry = (ci, s, source)
+            image = z_map(z, point.matrix).coords  # RankLoss on a rank-deficient sample
+            # keyed on exact (numerator, denominator) pairs, which hash several times
+            # faster than Fractions or strings; sources are compared only where images meet
+            entry = (ci, s, point.matrix)
             prior = seen.setdefault(tuple(map(Fraction.as_integer_ratio, image)), entry)
-            if prior is not entry and prior[2] != source:
+            if prior is not entry and _plucker_key(prior[2]) != _plucker_key(point.matrix):
                 verdict = "violation"
                 witnesses.append({
                     "first": {"cell": prior[0], "sample": prior[1]},
@@ -313,8 +313,8 @@ def conjecture_sweeps(n_max: int = 7, samples: int = 3, seed: int = 0) -> Experi
         for k in range(1, min(3, n - 4) + 1):
             for path in enumerate_dyck_paths(n, k):
                 cell = le_normalize(omega_LD(omega_PL(path)))
-                for s in range(samples):
-                    point = sample_cell(cell, rng=_sample_seed(seed, cell_index, s))
+                rngs = (_sample_seed(seed, cell_index, s) for s in range(samples))
+                for s, point in enumerate(_cell_samples(cell, rngs)):
                     rows = p_domino_basis(point.matrix, path)
                     if rows is None:
                         entry = {"sweep": "p-domino-basis", "n": n, "k": k,

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .diagrams import OPlusDiagram
 from .errors import (
@@ -61,11 +61,19 @@ class RationalMatrix:
         object.__setattr__(self, "cols", width)
 
     @classmethod
-    def _built(cls, entries, cols: int, ints) -> "RationalMatrix":
-        """Package-built values only: Fraction tuples and their primitive integer rows."""
+    def _built(cls, cols: int, ints, dens) -> "RationalMatrix":
+        """Package-built values only: primitive integer rows, each over a positive
+        denominator; the Fraction ``entries`` are made on first read."""
         matrix = object.__new__(cls)
-        matrix.__dict__.update(entries=entries, cols=cols, _ints=ints)
+        matrix.__dict__.update(cols=cols, rows=len(ints), _ints=ints, _dens=dens)
         return matrix
+
+    def __getattr__(self, name: str):  # a package-built matrix's entries, on first read
+        if name != "entries" or "_dens" not in self.__dict__:
+            raise AttributeError(name)
+        return self.__dict__.setdefault("entries", tuple(
+            tuple(Fraction(x, d) if x else _ZERO for x in row)
+            for row, d in zip(self._ints, self._dens)))
 
     @cached_property
     def _ints(self) -> tuple[tuple[int, ...], ...]:
@@ -77,7 +85,7 @@ class RationalMatrix:
         """The whole grid times one common denominator (rows keep their ratios)."""
         return tuple(map(tuple, _cleared(self.entries)[0]))
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return len(self.entries)
 
@@ -345,12 +353,11 @@ def parameterize(diagram: OPlusDiagram, values: Mapping[str, object]) -> Rationa
 
 
 def _boundary_matrix(network: Network, values: Mapping[str, object]) -> RationalMatrix:
-    """``parameterize`` for a network already built: one Fraction per nonzero
-    entry, and the network's integer rows made primitive, never re-cleared."""
-    rows = network._int_rows(values)
-    entries = tuple(tuple(Fraction(x, row[s - 1]) if x else _ZERO for x in row)
-                    for row, s in zip(rows, network.sources))
-    return RationalMatrix._built(entries, network.n, tuple(map(_primitive, rows)))
+    """``parameterize`` for a network already built: the network's integer rows
+    made primitive, each over its entry at its own source, never re-cleared."""
+    rows = tuple(map(_primitive, network._int_rows(values)))
+    return RationalMatrix._built(network.n, rows,
+                                 tuple(row[s - 1] for row, s in zip(rows, network.sources)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,15 +385,20 @@ def _sample_seed(seed: int, cell_index: int, sample_index: int) -> int:
 
 
 def sample_cell(diagram: OPlusDiagram, rng=None) -> CellSample:
-    """Draw every edge variable as p/q with p, q uniform in 1..50."""
-    if rng is None or isinstance(rng, int):
-        rng = random.Random(rng or 0)
+    """Draw every edge variable as p/q with p, q uniform in 1..50.  For several
+    points of one cell, ``_cell_samples`` builds the network only once."""
+    return next(_cell_samples(diagram, (rng,)))
+
+
+def _cell_samples(diagram: OPlusDiagram, rngs: Iterable) -> Iterator[CellSample]:
+    """``sample_cell`` for each rng in turn, the same draws on one network."""
     network = build_network(diagram)
-    values = {
-        name: Fraction(rng.randint(1, 50), rng.randint(1, 50))
-        for name in network.variables
-    }
-    return CellSample(diagram, values, _boundary_matrix(network, values))
+    for rng in rngs:
+        if rng is None or isinstance(rng, int):
+            rng = random.Random(rng or 0)
+        values = {name: Fraction(rng.randint(1, 50), rng.randint(1, 50))
+                  for name in network.variables}
+        yield CellSample(diagram, values, _boundary_matrix(network, values))
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import Mapping, Sequence
 
@@ -741,7 +742,8 @@ class Network:
     at the east border of each row; vertical edges have weight one.
     Sources index the matrix rows, every boundary label a column.
     ``matrix`` sums the paths on integers, the weights written over one
-    common denominator, and divides once per entry.
+    common denominator, and divides once per entry; the value-free part of
+    that sum is worked out once per network, in ``_plan``.
     """
 
     k: int
@@ -757,6 +759,25 @@ class Network:
         rows = self._int_rows(values)
         return [[Fraction(x, row[s - 1]) for x in row] for row, s in zip(rows, self.sources)]
 
+    @cached_property
+    def _plan(self) -> tuple[tuple, tuple]:
+        """The value-free part of ``_int_rows``: the boxes in path order with
+        their heads and west edges; each source's first edge and path signs."""
+        out_h, entry = {}, {}  # the horizontal edges by tail: a box, or a source label
+        for name, tail, head in self.horizontal:
+            if tail[0] == "source":
+                entry[tail[1]] = (name, head)
+            else:
+                out_h[tail] = (name, head)
+        out_v = dict(self.vertical)
+        boxes = tuple((box, out_v[box], out_h.get(box))
+                      for box in sorted(out_v, key=lambda box: (box[1], -box[0])))
+        starts = tuple(
+            (s, entry.get(s), {label: (-1) ** sum(1 for t in self.sources if s < t < label)
+                               for label in self.sinks.values()})
+            for s in self.sources)
+        return boxes, starts
+
     def _int_rows(self, values: Mapping[str, object]) -> list[list[int]]:
         """``matrix`` on integers: each row times its one positive denominator,
         which is then the row's entry at its own source."""
@@ -769,26 +790,17 @@ class Network:
         scale = math.lcm(*(v.denominator for v in vals))
         weight = {name: v.numerator * (scale // v.denominator)
                   for name, v in zip(self.variables, vals)}
-
-        out_h: dict[tuple, tuple[str, tuple]] = {}
-        entry: dict[int, tuple[str, tuple]] = {}
-        for name, tail, head in self.horizontal:
-            if tail[0] == "source":
-                entry[tail[1]] = (name, head)
-            else:
-                out_h[tail] = (name, head)
-        out_v = {tail: head for tail, head in self.vertical}
+        boxes, starts = self._plan
 
         paths: dict[tuple, tuple[int, dict[int, int]]] = {}
-        for box in sorted(out_v, key=lambda box: (box[1], -box[0])):
-            head = out_v[box]
+        for box, head, edge in boxes:
             if head[0] == "sink":
                 depth, total = 0, {head[1]: 1}
             else:
                 depth, below = paths[head]
                 total = dict(below)
-            if box in out_h:
-                name, west = out_h[box]
+            if edge is not None:
+                name, west = edge
                 west_depth, sums = paths[west]
                 west_depth += 1
                 if west_depth > depth:
@@ -801,16 +813,15 @@ class Network:
             paths[box] = (depth, total)
 
         rows = []
-        for s in self.sources:
+        for s, edge, sign in starts:
             row = [0] * (self.n + 1)
             row[s] = 1
-            if s in entry:
-                name, head = entry[s]
+            if edge is not None:
+                name, head = edge
                 depth, sums = paths[head]
                 row[s] = scale ** (depth + 1)
                 for label, x in sums.items():
-                    between = sum(1 for t in self.sources if s < t < label)
-                    row[label] = (-1) ** between * weight[name] * x
+                    row[label] = sign[label] * weight[name] * x
             rows.append(row[1:])
         return rows
 

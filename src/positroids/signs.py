@@ -646,14 +646,14 @@ def p_domino_basis(
     heights = path.heights
     ups_pos = [x for x, ch in enumerate(steps) if ch == "+"]
 
-    rows: list[tuple[Fraction, ...]] = []
-    first_dominoes: list[tuple[Fraction, Fraction]] = []
+    # every row and first domino: integer numerators over one positive denominator
+    rows: list[tuple[list[int], int]] = []
+    first_dominoes: list[tuple[int, int, int]] = []
     for i0, (u, dn) in enumerate(zip(up_i, down_i)):
         step_idx = ups_pos[u - 1]
         eps = 1 if sum(1 for x in up_i if u < x < dn) % 2 == 0 else -1
-        f_vec = [Fraction(0)] * n
         if heights[step_idx] == 0:
-            f_vec[n - 1] = Fraction(1 if (k - i0 - 1) % 2 == 0 else -1)
+            f_support, f_den = [(n - 1, 1 if (k - i0 - 1) % 2 == 0 else -1)], 1
         else:
             prior = [
                 p for p in ups_pos if p < step_idx and heights[p + 1] == heights[step_idx]
@@ -665,28 +665,29 @@ def p_domino_basis(
                 return None
             ip = up_i.index(label)
             sign = 1 if (i0 - ip - 1) % 2 == 0 else -1
-            p0, q0 = first_dominoes[ip]
-            f_vec[up_i[ip] - 1] = sign * p0
-            f_vec[up_i[ip]] = sign * q0
+            p0, q0, f_den = first_dominoes[ip]
+            f_support = [(up_i[ip] - 1, sign * p0), (up_i[ip], sign * q0)]
         cols = (u - 1, u, dn - 1, dn)
         signs4 = (1, 1, eps, eps)
         # the row f + (p, q, eps r, eps s) on cols is orthogonal to the kernel
-        f_support = [(j, x) for j, x in enumerate(f_vec) if x]
         solution = _solve(_primitive_rows([
-            [sg * w[c] for sg, c in zip(signs4, cols)] + [-sum(x * w[j] for j, x in f_support)]
+            [f_den * sg * w[c] for sg, c in zip(signs4, cols)]
+            + [-sum(x * w[j] for j, x in f_support)]
             for w in kernel
         ]))
         if solution is None:
             return None
-        numerators, den = solution
-        p, q, r, s = (Fraction(x, den) for x in numerators)
+        (p, q, r, s), den = solution
         if p <= 0 or q <= 0 or r <= 0 or s <= 0:
             return None
-        row = list(f_vec)
+        common = math.lcm(f_den, den)
+        row = [0] * n
+        for j, x in f_support:
+            row[j] += x * (common // f_den)
         for t, a in zip(cols, (p, q, eps * r, eps * s)):
-            row[t] += a
-        rows.append(tuple(row))
-        first_dominoes.append((p, q))
-    if len(_eliminate(_primitive_rows(rows))[0]) != k:
+            row[t] += a * (common // den)
+        rows.append((row, common))
+        first_dominoes.append((p, q, den))
+    if len(_eliminate([row for row, _ in rows])[0]) != k:
         return None
-    return rows
+    return [tuple(Fraction(x, common) if x else _ZERO for x in row) for row, common in rows]

@@ -432,6 +432,22 @@ class TestUsage:
         assert "is not a JSON number" in err and "internal error" not in err
 
     @pytest.mark.parametrize("argv, payload", [
+        (["convert", "--from", "graph", "--to", "permutation"],
+         '{"n":2,"internal":[],"edges":[[1,2]],"rotation":{"1":[5],"1":[0],"2":[1]}}'),
+        (["render", "--kind", "permutation", "--format", "ascii"],
+         '{"n":3,"n":2,"images":[2,1]}'),
+        (["verify", "--kind", "membership"],
+         '{"matrix": [[1, 1, 1]], "diagram": {"k": 1, "n": 3, "k": 1, "shape": [2], '
+         '"rows": ["++"]}}'),
+    ], ids=["rotation-key", "permutation-size", "nested-diagram"])
+    def test_repeated_json_keys_are_usage_errors(self, argv, payload, capsys):
+        # json.load alone keeps the last of two equal keys, and the request runs
+        code, text = invoke(argv, payload)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "repeated" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("argv, payload", [
         (["verify", "--kind", "diagram"],
          '{"k": 1.9, "n": 3.2, "shape": [2.7], "rows": ["++"]}'),
         (["render", "--kind", "permutation", "--format", "ascii"],

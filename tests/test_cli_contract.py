@@ -8,7 +8,7 @@ request belongs to the admission check (ROADMAP item 4), not to the readers.
 
 The pins are sha256 digests, recorded before the CLI's kind tables existed,
 of the exit codes and stdout of every ``render`` kind and format and every
-``convert`` arrow over whole small families.
+``convert`` arrow over whole small families; two more pin ``sample`` stdout.
 
 Fresh interpreters check what a request imports (each verb imports the
 package modules it uses on first use), and that a request answers the same
@@ -236,6 +236,23 @@ def test_render_bytes_are_pinned(kind, fmt):
 def test_convert_bytes_are_pinned(source, target):
     argv = ["convert", "--from", source, "--to", target]
     assert _digest(argv, _FAMILIES[source]) == ARROW_PINS[source, target]
+
+
+# sha256 of the stdout of sample requests, recorded while each sample rebuilt
+# its cell's network and built its matrix entries at once
+SAMPLE_PINS = {
+    "sample --n 9 --k 3 --m 2 --count 3 --seed 4":
+        "e2cf59e4b9d7031a179e6d078a58c6bfffabe097eb9a5c4e05f5ad4f1c247c92",
+    "sample --n 8 --k 2 --m 4 --count 2 --seed 5":
+        "c6452b7557c055aee50591ab5e6323ce40cc34489c6181f7fb7682fda0d9476f",
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(SAMPLE_PINS))
+def test_sample_bytes_are_pinned(request_line):
+    code, out, _ = invoke(request_line.split(), "")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_PINS[request_line]
 
 
 def test_every_kind_and_arrow_is_pinned():

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from positroids.errors import BadRange, NoMatch
+from positroids.diagrams import enumerate_diagrams
+from positroids.errors import BadRange, NoMatch, RankLoss
 from positroids.experiments import (
     ExperimentReport,
     conjecture_sweeps,
@@ -109,6 +110,35 @@ class TestDisjointness:
         assert [w["first"] for w in report.witnesses] == [{"cell": 0, "sample": 0}] * 5
         assert report.witnesses[0]["second"] == {"cell": 0, "sample": 1}
         assert report.witnesses[0]["image"] == ["1", "1/2", "0", "3", "0", "-2/7"]
+
+    @pytest.mark.parametrize("n, k, m", [(7, 2, 4), (7, 1, 4), (6, 2, 2)])
+    def test_equal_samples_of_one_cell_are_one_point(self, n, k, m, monkeypatch):
+        # every sample of a cell draws the same values: the images meet, and
+        # only the source comparison tells that the points are equal
+        from positroids import experiments
+        seeds, keys = experiments._sample_seed, experiments._plucker_key
+        calls = []
+        monkeypatch.setattr(experiments, "_sample_seed", lambda seed, ci, s: seeds(seed, ci, 0))
+        monkeypatch.setattr(experiments, "_plucker_key", lambda v: calls.append(v) or keys(v))
+        report = disjointness_experiment(n, k, m, samples=3, seed=4)
+        assert report.verdict == "pass" and report.witnesses == []
+        cells = len(enumerate_diagrams(n, k, m))
+        assert len(calls) == 2 * 2 * cells
+
+    def test_rank_deficient_sample_is_a_rank_loss(self, monkeypatch):
+        # the source key is computed only where images meet; the rank check
+        # it made on every sample is left to the map
+        from positroids import experiments
+        from positroids.linalg import CellSample
+        real = experiments._cell_samples
+
+        def flat(cell, rngs):
+            for point in real(cell, rngs):
+                zero = RationalMatrix(((0,) * cell.n,) * cell.k)
+                yield CellSample(point.diagram, point.values, zero)
+        monkeypatch.setattr(experiments, "_cell_samples", flat)
+        with pytest.raises(RankLoss):
+            disjointness_experiment(6, 1, 4, samples=2, seed=1)
 
     def test_rank_zero_family_is_trivial(self):
         report = disjointness_experiment(6, 0, 2, samples=3, seed=0)

@@ -31,6 +31,7 @@ from positroids.linalg import (
     _phase1_feasible,
     _plucker_key,
     _primitive_rows,
+    _cell_samples,
     _sample_seed,
     _solve,
     find_kernel_vector_with_signs,
@@ -338,6 +339,12 @@ def test_not_totally_positive_reports_the_true_minor():
 # sha256 of the outputs below, recorded with the Fraction arithmetic the
 # integer core replaced
 OUTPUTS_SHA256 = "c52c645bcc5a848dcb9a207a0c4b1a3d14376d1750b37313dab3b359d5d4629d"
+# sha256 of single report JSONs, recorded while every sample rebuilt its
+# network, built its Fraction entries and computed its source key
+REPORT_SHA256 = {
+    "disjointness-9-2-4": "017e70d65ef2752da928b545a69efd1851c2d1b1fec6b80ae2142db96aeab333",
+    "sweeps-8": "fe52e109e5705e0a009ebc6e5c93d2a7d764dd01075514dfbfe2b142d01be678",
+}
 
 
 def test_outputs_are_pinned():
@@ -359,6 +366,16 @@ def test_outputs_are_pinned():
                        reduced.to_json(), pivots, kernel]
             digest.update(json.dumps(outputs, sort_keys=True).encode())
     assert digest.hexdigest() == OUTPUTS_SHA256
+
+
+def test_report_json_is_pinned():
+    reports = {
+        "disjointness-9-2-4": disjointness_experiment(9, 2, 4, samples=2, seed=3),
+        "sweeps-8": conjecture_sweeps(8, samples=2, seed=1),
+    }
+    for name, report in reports.items():
+        text = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name], name
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +429,54 @@ def test_built_samples_match_the_public_constructors(n, k, m):
     for i, j in itertools.combinations(range(len(samples)), 2):
         assert (keys[i] == keys[j]) == gr_equal(points[i], points[j])
     assert sum(keys[i] == keys[i + 1] for i in range(0, len(keys), 2)) == len(keys) // 2
+
+
+def copy_rng(rng):
+    if not isinstance(rng, random.Random):
+        return rng
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+@pytest.mark.parametrize("n, k, m", [(8, 2, 4), (8, 3, 2), (7, 0, 2)])
+def test_cell_samples_are_repeated_sample_cell_calls(n, k, m):
+    for ci, diagram in enumerate(enumerate_diagrams(n, k, m)):
+        cell = le_normalize(diagram) if m == 4 else diagram
+        seeds = [_sample_seed(2, ci, s) for s in range(3)]
+        for rngs in (seeds, [random.Random(x) for x in seeds], [None, 0, 5]):
+            one_by_one = [sample_cell(cell, rng=copy_rng(r)) for r in rngs]
+            together = list(_cell_samples(cell, map(copy_rng, rngs)))
+            assert len(together) == len(rngs)
+            for a, b in zip(one_by_one, together):
+                assert a.values == b.values and a.diagram == b.diagram
+                assert a.matrix.entries == b.matrix.entries and a.matrix == b.matrix
+                assert a.to_json() == b.to_json()
+
+
+def test_sample_entries_are_made_on_first_read():
+    z = make_tp_matrix(6, 9)
+    for ci, diagram in enumerate(enumerate_diagrams(9, 2, 4)):
+        matrix = sample_cell(le_normalize(diagram), rng=ci).matrix
+        # the sampling path reads the integer rows only
+        assert (matrix.rows, matrix.cols) == (2, 9)
+        plucker(matrix)
+        z_map(z, matrix)
+        _plucker_key(matrix)
+        rref(matrix)
+        assert "entries" not in vars(matrix)
+        entries = matrix.entries
+        assert vars(matrix)["entries"] is entries is matrix.entries
+        public = RationalMatrix(entries, cols=9)
+        assert list(matrix._ints) == _primitive_rows(entries) == list(public._ints)
+        assert all(row[s - 1] == 1 for row, s in zip(entries, le_normalize(diagram).sources()))
+        assert all(isinstance(x, Fraction) for row in entries for x in row)
+        assert matrix == public and hash(matrix) == hash(public)
+        assert repr(matrix) == repr(public) and matrix.to_json() == public.to_json()
+    with pytest.raises(AttributeError):
+        getattr(matrix, "missing")
+    with pytest.raises(AttributeError):
+        getattr(RationalMatrix.__new__(RationalMatrix), "entries")
 
 
 def test_plucker_key_of_a_rank_deficient_matrix():

@@ -4,24 +4,28 @@ Candidate rays are checked for what they claim (each vanishes somewhere,
 lies in the row span by a Plücker rank check, and no two are proportional)
 and against the Fraction ``_candidate_rays`` they replaced, kept here.
 Domino bases are checked to span the sample's row space and to fit their
-sign template; network matrices against the Fraction path sums the common
-denominator replaced, also kept here.  A sha256 pin, recorded with the
+sign template, and against the Fraction solve the integer one replaced;
+network matrices against the Fraction path sums the common denominator
+replaced, and ``Network._plan`` against the set-up ``_int_rows`` once ran
+inline on every call, all kept here.  A sha256 pin, recorded with the
 Fraction arithmetic, covers seeded reports, samples and bases.
 """
 
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids.catalan import dyck_step_labels, enumerate_dyck_paths, omega_PL
-from positroids.diagrams import enumerate_diagrams, le_normalize, omega_LD
+from positroids.diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD
 from positroids.experiments import conjecture_sweeps, disjointness_experiment, \
     m3_counterexample
-from positroids.linalg import RationalMatrix, _maximal_minors, _primitive_rows, gr_equal, \
-    plucker, rref, sample_cell
+from positroids.linalg import RationalMatrix, _eliminate, _integer_kernel, _maximal_minors, \
+    _primitive_rows, _solve, gr_equal, plucker, rref, sample_cell
 from positroids.plabic import build_network
 from positroids.signs import _candidate_rays, _unit_scale, p_domino_basis, \
     standard_basis_k2
@@ -87,6 +91,79 @@ def fraction_path_sums(network, values):
                 between = sum(1 for t in network.sources if s < t < label)
                 row[label] = (-1) ** between * vals[name] * weight
         rows.append(row[1:])
+    return rows
+
+
+def inline_plan(network):
+    """The value-free set-up ``Network._int_rows`` ran inline on every call,
+    in the shape of ``Network._plan``."""
+    out_h, entry = {}, {}
+    for name, tail, head in network.horizontal:
+        if tail[0] == "source":
+            entry[tail[1]] = (name, head)
+        else:
+            out_h[tail] = (name, head)
+    out_v = {tail: head for tail, head in network.vertical}
+    boxes = tuple((box, out_v[box], out_h[box] if box in out_h else None)
+                  for box in sorted(out_v, key=lambda box: (box[1], -box[0])))
+    starts = []
+    for s in network.sources:
+        signs = {}
+        for label in network.sinks.values():
+            between = sum(1 for t in network.sources if s < t < label)
+            signs[label] = (-1) ** between
+        starts.append((s, entry[s] if s in entry else None, signs))
+    return boxes, tuple(starts)
+
+
+def fraction_p_domino_basis(matrix, path):
+    """The ``p_domino_basis`` that kept its template vectors and solutions on Fraction."""
+    n, k = path.n, path.k
+    grid = list(matrix._ints)
+    pivots, _, _ = _eliminate(grid)
+    kernel = _integer_kernel(grid, pivots, n)
+    _, _, up_i, down_i = dyck_step_labels(path)
+    steps, heights = path.steps, path.heights
+    ups_pos = [x for x, ch in enumerate(steps) if ch == "+"]
+    rows, first_dominoes = [], []
+    for i0, (u, dn) in enumerate(zip(up_i, down_i)):
+        step_idx = ups_pos[u - 1]
+        eps = 1 if sum(1 for x in up_i if u < x < dn) % 2 == 0 else -1
+        f_vec = [Fraction(0)] * n
+        if heights[step_idx] == 0:
+            f_vec[n - 1] = Fraction(1 if (k - i0 - 1) % 2 == 0 else -1)
+        else:
+            prior = [p for p in ups_pos if p < step_idx and heights[p + 1] == heights[step_idx]]
+            if not prior:
+                return None
+            label = ups_pos.index(prior[-1]) + 1
+            if label not in up_i:
+                return None
+            ip = up_i.index(label)
+            sign = 1 if (i0 - ip - 1) % 2 == 0 else -1
+            p0, q0 = first_dominoes[ip]
+            f_vec[up_i[ip] - 1] = sign * p0
+            f_vec[up_i[ip]] = sign * q0
+        cols = (u - 1, u, dn - 1, dn)
+        signs4 = (1, 1, eps, eps)
+        f_support = [(j, x) for j, x in enumerate(f_vec) if x]
+        solution = _solve(_primitive_rows([
+            [sg * w[c] for sg, c in zip(signs4, cols)] + [-sum(x * w[j] for j, x in f_support)]
+            for w in kernel
+        ]))
+        if solution is None:
+            return None
+        numerators, den = solution
+        p, q, r, s = (Fraction(x, den) for x in numerators)
+        if p <= 0 or q <= 0 or r <= 0 or s <= 0:
+            return None
+        row = list(f_vec)
+        for t, a in zip(cols, (p, q, eps * r, eps * s)):
+            row[t] += a
+        rows.append(tuple(row))
+        first_dominoes.append((p, q))
+    if len(_eliminate(_primitive_rows(rows))[0]) != k:
+        return None
     return rows
 
 
@@ -191,6 +268,30 @@ def test_p_domino_rows_span_the_sample_and_fit_the_template():
     assert checked > 100
 
 
+def test_p_domino_basis_is_the_fraction_solve():
+    # every cell of the sweep with n <= 9, three seeds each
+    rng = random.Random(3)
+    outcomes = set()
+    for n in range(5, 10):
+        for k in range(1, min(3, n - 4) + 1):
+            for index, path in enumerate(enumerate_dyck_paths(n, k)):
+                cell = le_normalize(omega_LD(omega_PL(path)))
+                for seed in range(3):
+                    matrix = sample_cell(cell, 1_009 * index + 10 * n + seed).matrix
+                    rows = p_domino_basis(matrix, path)
+                    assert rows == fraction_p_domino_basis(matrix, path)
+                    assert rows is None or all(isinstance(x, Fraction) for r in rows for x in r)
+                    outcomes.add(rows is None)
+                # a random subspace rarely fits the template: the None returns
+                grid = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+                if len(_eliminate([list(r) for r in grid])[0]) == k:
+                    matrix = RationalMatrix(tuple(map(tuple, grid)))
+                    rows = p_domino_basis(matrix, path)
+                    assert rows == fraction_p_domino_basis(matrix, path)
+                    outcomes.add(rows is None)
+    assert outcomes == {True, False}
+
+
 # ----------------------------------------------------------------------
 # network matrices
 
@@ -207,6 +308,45 @@ def test_network_matrix_against_fraction_path_sums(cell, data):
     got = network.matrix(values)
     assert got == fraction_path_sums(network, values)
     assert all(isinstance(x, Fraction) for row in got for x in row)
+
+
+def _fillings(width, above):
+    """The {0, +} rows of one length where no 0 has a + to its left and a
+    + above it (``above``: the columns with a + in an earlier row)."""
+    rows = [""]
+    for c in range(width):
+        rows = [row + x for row in rows for x in "0+"
+                if x == "+" or c not in above or "+" not in row]
+    return rows
+
+
+def _le_diagrams(k, n, rows=(), above=frozenset()):
+    """Every sorted diagram of Gr(k, n), built row by row."""
+    if len(rows) == k:
+        yield OPlusDiagram.from_rows(k, n, rows)
+        return
+    for width in range(len(rows[-1]) if rows else n - k, -1, -1):
+        for row in _fillings(width, above):
+            plus = {c for c, x in enumerate(row) if x == "+"}
+            yield from _le_diagrams(k, n, rows + (row,), above | plus)
+
+
+def test_network_plan_is_the_inline_set_up():
+    # every sorted diagram with n <= 7 (one per decorated permutation), and
+    # every cell the samplers draw from with n = 8
+    rng = random.Random(5)
+    cells = [d for n in range(1, 8) for k in range(n + 1) for d in _le_diagrams(k, n)]
+    assert len(cells) == sum(math.factorial(n) // math.factorial(j)
+                             for n in range(1, 8) for j in range(n + 1))
+    cells += [d for k in range(7) for d in enumerate_diagrams(8, k, 2)]
+    cells += [le_normalize(d) for k in range(5) for d in enumerate_diagrams(8, k, 4)]
+    for index, cell in enumerate(cells):
+        network = build_network(cell)
+        assert network._plan == inline_plan(network)
+        if index % 16 == 0 or cell.n == 8:  # the integer sums on the plan, sampled
+            values = {name: Fraction(rng.randint(1, 50), rng.randint(1, 50))
+                      for name in network.variables}
+            assert network.matrix(values) == fraction_path_sums(network, values)
 
 
 def test_network_matrix_of_ones():
