@@ -670,11 +670,11 @@ def p_domino_basis(
         cols = (u - 1, u, dn - 1, dn)
         signs4 = (1, 1, eps, eps)
         # the row f + (p, q, eps r, eps s) on cols is orthogonal to the kernel
-        solution = _solve(_primitive_rows([
+        solution = _solve([
             [f_den * sg * w[c] for sg, c in zip(signs4, cols)]
             + [-sum(x * w[j] for j, x in f_support)]
             for w in kernel
-        ]))
+        ])
         if solution is None:
             return None
         (p, q, r, s), den = solution

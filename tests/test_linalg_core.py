@@ -6,7 +6,8 @@ against the Fraction Gauss–Jordan elimination it replaced; Plücker vectors
 of sampled cells against the three-term Plücker relations; the integer Gram
 projection and fraction-free simplex of ``find_kernel_vector_with_signs``
 against the Fraction versions they replaced; package-built matrices and
-points against the public constructors.
+points against the public constructors, and samples drawn on one shared
+network against samples that each built their own.
 """
 
 import hashlib
@@ -27,11 +28,11 @@ from positroids.experiments import conjecture_sweeps, disjointness_experiment, \
 from positroids.linalg import (
     GrassmannPoint,
     RationalMatrix,
+    _cell_samples,
     _maximal_minors,
     _phase1_feasible,
     _plucker_key,
     _primitive_rows,
-    _cell_samples,
     _sample_seed,
     _solve,
     find_kernel_vector_with_signs,
@@ -43,6 +44,7 @@ from positroids.linalg import (
     sample_cell,
     z_map,
 )
+from positroids.plabic import build_network
 
 # ----------------------------------------------------------------------
 # oracles
@@ -439,6 +441,17 @@ def copy_rng(rng):
     return twin
 
 
+def eager_sample(diagram, rng):
+    """A sample as ``sample_cell`` drew it before a network served several:
+    a network of its own, and the matrix through the public constructor."""
+    if rng is None or isinstance(rng, int):
+        rng = random.Random(rng or 0)
+    network = build_network(diagram)
+    values = {name: Fraction(rng.randint(1, 50), rng.randint(1, 50))
+              for name in network.variables}
+    return values, RationalMatrix(tuple(map(tuple, network.matrix(values))), cols=diagram.n)
+
+
 @pytest.mark.parametrize("n, k, m", [(8, 2, 4), (8, 3, 2), (7, 0, 2)])
 def test_cell_samples_are_repeated_sample_cell_calls(n, k, m):
     for ci, diagram in enumerate(enumerate_diagrams(n, k, m)):
@@ -446,11 +459,13 @@ def test_cell_samples_are_repeated_sample_cell_calls(n, k, m):
         seeds = [_sample_seed(2, ci, s) for s in range(3)]
         for rngs in (seeds, [random.Random(x) for x in seeds], [None, 0, 5]):
             one_by_one = [sample_cell(cell, rng=copy_rng(r)) for r in rngs]
+            eager = [eager_sample(cell, copy_rng(r)) for r in rngs]
             together = list(_cell_samples(cell, map(copy_rng, rngs)))
             assert len(together) == len(rngs)
-            for a, b in zip(one_by_one, together):
-                assert a.values == b.values and a.diagram == b.diagram
-                assert a.matrix.entries == b.matrix.entries and a.matrix == b.matrix
+            for a, (values, matrix), b in zip(one_by_one, eager, together):
+                assert a.values == b.values == values and a.diagram == b.diagram == cell
+                assert a.matrix.entries == b.matrix.entries == matrix.entries
+                assert a.matrix == b.matrix == matrix
                 assert a.to_json() == b.to_json()
 
 
