@@ -290,6 +290,10 @@ def test_p_domino_basis_is_the_fraction_solve():
                     assert rows == fraction_p_domino_basis(matrix, path)
                     outcomes.add(rows is None)
     assert outcomes == {True, False}
+    # the unique solution here has p = q = 0: no positive domino fits
+    path = next(p for p in enumerate_dyck_paths(5, 1) if p.to_json() == "UUDD")
+    matrix = RationalMatrix(((0, 0, 1, 0, 1),))
+    assert p_domino_basis(matrix, path) is None is fraction_p_domino_basis(matrix, path)
 
 
 # ----------------------------------------------------------------------
