@@ -227,42 +227,6 @@ class PathPair:
     def from_json(cls, data: dict, m: int = 4) -> "PathPair":
         return cls(data["wu"], data["wl"], m)
 
-    def to_svg(self) -> str:
-        cell = 24
-        width = max(self.b, 1) * cell + 12
-        height = max(self.k, 1) * cell + 12
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">'
-        ]
-        for r in range(self.k + 1):
-            y = r * cell + 6
-            parts.append(
-                f'<line x1="6" y1="{y}" x2="{self.b * cell + 6}" y2="{y}" '
-                'stroke="#ccc"/>'
-            )
-        for c in range(self.b + 1):
-            x = c * cell + 6
-            parts.append(
-                f'<line x1="{x}" y1="6" x2="{x}" y2="{self.k * cell + 6}" '
-                'stroke="#ccc"/>'
-            )
-        for word, color, off in ((self.wl, "red", 2), (self.wu, "blue", -2)):
-            x, y = self.b * cell + 6, 6
-            pts = [f"{x + off},{y + off}"]
-            for ch in word:
-                if ch == "H":
-                    x -= cell
-                else:
-                    y += cell
-                pts.append(f"{x + off},{y + off}")
-            parts.append(
-                f'<polyline points="{" ".join(pts)}" fill="none" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-        parts.append("</svg>")
-        return "".join(parts)
-
 
 def enumerate_path_pairs(n: int, k: int) -> Iterator[PathPair]:
     """All noncrossing pairs with k V steps and n-k-4 H steps."""
@@ -355,17 +319,6 @@ class DyckPath:
         if not isinstance(word, str):
             raise TypeError("a Dyck path is a string of U and D steps")
         return cls(word.replace("U", "+").replace("D", "-"))
-
-    def ascii_art(self) -> str:
-        heights = self.heights
-        top = max(heights) if heights else 0
-        grid = [[" "] * len(self.steps) for _ in range(top)]
-        for x, ch in enumerate(self.steps):
-            if ch == "+":
-                grid[top - 1 - heights[x]][x] = "/"
-            else:
-                grid[top - heights[x]][x] = "\\"
-        return "\n".join("".join(row).rstrip() for row in grid)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,8 @@ Verbs: enumerate, convert, sample, verify, experiment, render.  All input
 and output is JSON on stdio (except the tsv/ascii/svg render formats), and
 randomness is always derived from --seed so runs replay exactly.  Each
 verb imports the package modules it uses on first use, so a request pays
-start-up only for those.
+start-up only for those.  This module reads, converts and checks; the
+drawers live in ``render``, which only ``render`` and ``--format ascii`` load.
 
 Exit codes: 0 for success or a finding, 1 for a violated check (a failed
 verification, an experiment verdict of "violation"), 2 for usage errors
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Optional, TextIO
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional, TextIO
 from .errors import BadRange, PositroidError
 
 if TYPE_CHECKING:
-    from .catalan import BinaryTree, DyckPath, PathPair, PlanePartition
+    from .catalan import PathPair, PlanePartition
     from .permutations import DecoratedPermutation
     from .plabic import Network, PlabicGraph
 
@@ -71,164 +71,6 @@ _ARROWS = {
 
 
 # ----------------------------------------------------------------------
-# SVG emitters for the kinds whose classes do not carry their own
-
-
-def _svg(width: float, height: float, body: list[str]) -> str:
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
-        f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">'
-    )
-    return "\n".join([head] + body + ["</svg>"])
-
-
-def _svg_dyck(path: DyckPath) -> str:
-    step = 16
-    heights = path.heights
-    top = max(heights)
-    x0, y0 = 6, top * step + 6
-    points = [f"{x0},{y0}"]
-    for i, h in enumerate(heights[1:], start=1):
-        points.append(f"{x0 + i * step},{y0 - h * step}")
-    width = len(path.steps) * step + 12
-    body = [
-        f'<line x1="{x0}" y1="{y0}" x2="{width - 6}" y2="{y0}" stroke="#ccc"/>',
-        f'<polyline points="{" ".join(points)}" fill="none" stroke="black"/>',
-    ]
-    return _svg(width, top * step + 12, body)
-
-
-def _svg_tree(tree: BinaryTree) -> str:
-    step = 32
-    edges: list[tuple[float, int, float, int]] = []
-    nodes: list[tuple[float, int, bool]] = []
-    slot = [0]
-
-    def place(t: BinaryTree, depth: int) -> float:
-        if t.is_leaf:
-            x = float(slot[0])
-            slot[0] += 1
-        else:
-            xh = place(t.horizontal, depth + 1)
-            xv = place(t.vertical, depth + 1)
-            x = (xh + xv) / 2
-            edges.append((x, depth, xh, depth + 1))
-            edges.append((x, depth, xv, depth + 1))
-        nodes.append((x, depth, t.is_leaf))
-        return x
-
-    place(tree, 0)
-    depth = max(d for _, d, _ in nodes)
-    body = []
-
-    def px(x: float) -> float:
-        return x * step + 10
-
-    def py(d: int) -> float:
-        return d * step + 10
-
-    for x1, d1, x2, d2 in edges:
-        body.append(
-            f'<line x1="{px(x1):g}" y1="{py(d1):g}" x2="{px(x2):g}" '
-            f'y2="{py(d2):g}" stroke="black"/>'
-        )
-    for x, d, leaf in nodes:
-        fill = "white" if leaf else "black"
-        body.append(
-            f'<circle cx="{px(x):g}" cy="{py(d):g}" r="4" fill="{fill}" '
-            'stroke="black"/>'
-        )
-    return _svg(slot[0] * step + 20, depth * step + 20, body)
-
-
-def _svg_network(net: Network) -> str:
-    step = 40
-    columns = sorted(net.sinks)
-    east = (max(columns) + 1) * step if columns else step
-
-    def node_xy(node) -> tuple[float, float]:
-        if node[0] == "source":
-            row = net.sources.index(node[1]) + 1
-            return east + 10, row * step
-        if node[0] == "sink":
-            col = next(c for c, label in net.sinks.items() if label == node[1])
-            return east - col * step + 10, (net.k + 1) * step
-        row, col = node
-        return east - col * step + 10, row * step
-
-    body = []
-    for name, tail, head in net.horizontal:
-        x1, y1 = node_xy(tail)
-        x2, y2 = node_xy(head)
-        body.append(f'<line x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}" stroke="black"/>')
-        body.append(
-            f'<text x="{(x1 + x2) / 2:g}" y="{y1 - 4:g}" font-size="10" '
-            f'text-anchor="middle">{name}</text>'
-        )
-    for tail, head in net.vertical:
-        x1, y1 = node_xy(tail)
-        x2, y2 = node_xy(head)
-        body.append(f'<line x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}" stroke="black"/>')
-    for label in net.sources:
-        x, y = node_xy(("source", label))
-        body.append(f'<circle cx="{x:g}" cy="{y:g}" r="3" fill="black"/>')
-        body.append(f'<text x="{x + 6:g}" y="{y + 4:g}" font-size="10">{label}</text>')
-    for col, label in net.sinks.items():
-        x, y = node_xy(("sink", label))
-        body.append(f'<circle cx="{x:g}" cy="{y:g}" r="3" fill="white" stroke="black"/>')
-        body.append(f'<text x="{x:g}" y="{y + 14:g}" font-size="10" text-anchor="middle">{label}</text>')
-    return _svg(east + 40, (net.k + 2) * step, body)
-
-
-def _svg_plane_partition(partition: PlanePartition) -> str:
-    step = 24
-    width = max(partition.b, 1) * step + 12
-    height = max(partition.a, 1) * step + 12
-    body = []
-    for r in range(partition.a):
-        for c in range(partition.b):
-            x, y = c * step + 6, r * step + 6
-            body.append(
-                f'<rect x="{x}" y="{y}" width="{step}" height="{step}" '
-                'fill="none" stroke="#999"/>'
-            )
-            body.append(
-                f'<text x="{x + step / 2:g}" y="{y + step / 2 + 4:g}" font-size="11" '
-                f'text-anchor="middle">{partition.rows[r][c]}</text>'
-            )
-    return _svg(width, height, body)
-
-
-def _svg_permutation(perm: DecoratedPermutation) -> str:
-    n = perm.n
-    radius = max(30, 9 * n)
-    size = 2 * radius + 40
-    cx = cy = size / 2
-
-    def point(i: int) -> tuple[float, float]:
-        angle = math.pi / 2 - 2 * math.pi * (i - 1) / n
-        return cx + radius * math.cos(angle), cy - radius * math.sin(angle)
-
-    body = []
-    for i in range(1, n + 1):
-        j = perm(i)
-        x1, y1 = point(i)
-        if j != i:
-            x2, y2 = point(j)
-            body.append(f'<line x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}" stroke="black"/>')
-    for i in range(1, n + 1):
-        x, y = point(i)
-        fill = "white" if perm(i) == i and i in perm.white_fixed else "black"
-        body.append(f'<circle cx="{x:g}" cy="{y:g}" r="4" fill="{fill}" stroke="black"/>')
-        lx = cx + (radius + 12) * (x - cx) / radius
-        ly = cy + (radius + 12) * (y - cy) / radius
-        body.append(
-            f'<text x="{lx:g}" y="{ly + 4:g}" font-size="10" text-anchor="middle">{i}</text>'
-        )
-    return _svg(size, size, body)
-
-
-# ----------------------------------------------------------------------
 # kinds and families; package functions are looked up by name at call time
 
 
@@ -239,27 +81,16 @@ def _read_network(data, m: int) -> Network:
     return _mod("plabic").build_network(diagram)
 
 
-def _plane_partition_ascii(partition: PlanePartition) -> str:
-    rows = [" ".join(str(e) for e in row) for row in partition.rows]
-    return "\n".join(rows) if rows else "(empty)"
-
-
-# kind -> (reader of its JSON given --m, SVG drawer, ascii drawer or None)
+# kind -> reader of its JSON given --m; ``render`` holds each kind's drawers
 _KINDS = {
-    "tree": (lambda d, m: _mod("catalan").BinaryTree.from_json(d), _svg_tree, str),
-    "graph": (lambda d, m: _mod("plabic").PlabicGraph.from_json(d), lambda g: g.to_svg(),
-              None),
-    "paths": (lambda d, m: _mod("catalan").PathPair.from_json(d, m), lambda p: p.to_svg(),
-              None),
-    "dyck": (lambda d, m: _mod("catalan").DyckPath.from_json(d), _svg_dyck,
-             lambda p: p.ascii_art()),
-    "diagram": (lambda d, m: _mod("diagrams").OPlusDiagram.from_json(d), lambda d: d.to_svg(),
-                lambda d: d.ascii_art()),
-    "permutation": (lambda d, m: _mod("permutations").DecoratedPermutation.from_json(d),
-                    _svg_permutation, str),
-    "network": (_read_network, _svg_network, None),
-    "planepartition": (lambda d, m: _mod("catalan").PlanePartition.from_json(d),
-                       _svg_plane_partition, _plane_partition_ascii),
+    "tree": lambda d, m: _mod("catalan").BinaryTree.from_json(d),
+    "graph": lambda d, m: _mod("plabic").PlabicGraph.from_json(d),
+    "paths": lambda d, m: _mod("catalan").PathPair.from_json(d, m),
+    "dyck": lambda d, m: _mod("catalan").DyckPath.from_json(d),
+    "diagram": lambda d, m: _mod("diagrams").OPlusDiagram.from_json(d),
+    "permutation": lambda d, m: _mod("permutations").DecoratedPermutation.from_json(d),
+    "network": _read_network,
+    "planepartition": lambda d, m: _mod("catalan").PlanePartition.from_json(d),
 }
 
 # enumerable kind -> (its family from --n, --k, --m; separator of its ascii
@@ -315,7 +146,7 @@ def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         separator = _FAMILIES.get(kind, (None, None))[1]
         if separator is None:
             raise BadRange(f"ascii output is not available for kind {kind!r}")
-        out.write(separator.join(map(_KINDS[kind][2], objects)) + "\n")
+        out.write(separator.join(map(_mod("render").ASCII[kind], objects)) + "\n")
     return 0
 
 
@@ -325,7 +156,7 @@ def _cmd_convert(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         supported = ", ".join(f"{s}->{t}" for s, t in sorted(_ARROWS))
         raise BadRange(f"no conversion {args.source} -> {args.target}; "
                        f"supported: {supported}")
-    obj = _KINDS[args.source][0](_read_json(stdin), args.m)
+    obj = _KINDS[args.source](_read_json(stdin), args.m)
     json.dump(arrow(obj, args).to_json(), out)
     out.write("\n")
     return 0
@@ -392,9 +223,9 @@ def _cmd_experiment(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int
 
 
 def _cmd_render(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
-    read, svg, ascii_art = _KINDS[args.kind]
-    obj = read(_read_json(stdin), args.m)
-    draw = svg if args.format == "svg" else ascii_art
+    obj = _KINDS[args.kind](_read_json(stdin), args.m)
+    render = _mod("render")
+    draw = (render.SVG if args.format == "svg" else render.ASCII)[args.kind]
     if draw is None:
         raise BadRange(f"no ascii renderer for kind {args.kind!r}")
     out.write(draw(obj) + "\n")

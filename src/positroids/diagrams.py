@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BadRange, Crossing, NotReduced, _int
 from .permutations import DecoratedPermutation
@@ -139,39 +139,10 @@ class OPlusDiagram:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "OPlusDiagram":
-        return cls(
-            _int(data["k"]),
-            _int(data["n"]),
-            tuple(_int(v) for v in data["shape"]),
-            tuple(str(r) for r in data["rows"]),
-        )
-
-    def ascii_art(self) -> str:
-        """Grid of + and 0 characters, one line per row."""
-        if self.k == 0:
-            return "(empty)"
-        return "\n".join(" ".join(row) or "." for row in self.rows)
-
-    def to_svg(self) -> str:
-        cell = 24
-        width = max((self.n - self.k), 1) * cell + 2
-        height = max(self.k, 1) * cell + 2
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">'
-        ]
-        for r, c in self.boxes():
-            x, y = (c - 1) * cell + 1, (r - 1) * cell + 1
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                'fill="white" stroke="black"/>'
-            )
-            parts.append(
-                f'<text x="{x + cell // 2}" y="{y + cell // 2 + 5}" '
-                f'text-anchor="middle" font-size="14">{self.fill(r, c)}</text>'
-            )
-        parts.append("</svg>")
-        return "".join(parts)
+        k, n, shape = _int(data["k"]), _int(data["n"]), tuple(_int(v) for v in data["shape"])
+        if not all(isinstance(r, str) for r in data["rows"]):
+            raise TypeError("each row must be a string over 0 and +")
+        return cls(k, n, shape, tuple(data["rows"]))
 
 
 # ----------------------------------------------------------------------

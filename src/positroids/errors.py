@@ -1,14 +1,7 @@
-"""Exception types shared across the package, and its float ban."""
+"""Exception types shared across the package, and its integer check.
 
-from fractions import Fraction
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed; pass int, Fraction, or 'p/q'")
-    return Fraction(value)
+It imports nothing, so a usage error loads no more than it and the CLI.
+"""
 
 
 def _int(value) -> int:

@@ -15,14 +15,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .catalan import enumerate_dyck_paths, enumerate_path_pairs, enumerate_trees, \
     macmahon, omega_PL, omega_TL, tree_to_graph
 from .diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD, \
     pipe_dream_permutation
-from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted, _frac
-from .linalg import RationalMatrix, _cell_samples, _plucker_key, _sample_seed, \
+from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted
+from .linalg import RationalMatrix, _cell_samples, _frac, _plucker_key, _sample_seed, \
     find_kernel_vector_with_signs, gr_equal, make_tp_matrix, plucker, positroid_membership, rref, \
     z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation

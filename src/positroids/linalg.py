@@ -23,10 +23,9 @@ from .errors import (
     RankDeficient,
     RankLoss,
     ShapeMismatch,
-    _frac,
     _int,
 )
-from .plabic import Network, build_network
+from .plabic import Network, _frac, build_network
 
 
 _ZERO = Fraction(0)

@@ -72,9 +72,6 @@ class DecoratedPermutation:
             raise ValueError(f"{i} is not a fixed point")
         return WHITE if i in self.white_fixed else BLACK
 
-    def fixed_colors(self) -> Mapping[int, str]:
-        return {i: self.color_of(i) for i in self.fixed_points}
-
     # ------------------------------------------------------------------
     # statistics and operations
 

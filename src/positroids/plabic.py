@@ -26,7 +26,6 @@ from .errors import (
     NonLollipopFixedPoint,
     NotLe,
     NotReduced,
-    _frac,
     _int,
 )
 from .permutations import BLACK, WHITE, DecoratedPermutation
@@ -215,61 +214,6 @@ class PlabicGraph:
         if [str(v) for v in rotation] != list(data["rotation"]):
             raise ValueError("rotation keys must be vertex ids in plain decimal, each once")
         return cls(n, colors, edges, rotation)
-
-    def to_svg(self) -> str:
-        radius = 150.0
-        cx = cy = radius + 20
-        pos: dict[int, tuple[float, float]] = {}
-        for b in range(1, self.n + 1):
-            ang = math.pi / 2 - 2 * math.pi * (b - 1) / max(self.n, 1)
-            pos[b] = (cx + radius * math.cos(ang), cy - radius * math.sin(ang))
-        depth = _bfs_depth(self)
-        max_depth = max(depth.values(), default=1) or 1
-        rings: dict[int, list[int]] = {}
-        for v in self.internal_vertices():
-            rings.setdefault(depth.get(v, max_depth), []).append(v)
-        for d, vs in sorted(rings.items()):
-            r = radius * (1 - d / (max_depth + 1))
-            for idx, v in enumerate(sorted(vs, reverse=True)):
-                ang = math.pi / 2 - 2 * math.pi * idx / len(vs) - 0.3 * d
-                pos[v] = (cx + r * math.cos(ang), cy - r * math.sin(ang))
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{2 * cx:.0f}" '
-            f'height="{2 * cy:.0f}" viewBox="0 0 {2 * cx:.0f} {2 * cy:.0f}">',
-            f'<circle cx="{cx}" cy="{cy}" r="{radius}" fill="none" stroke="#bbb"/>',
-        ]
-        for a, b in self.edges:
-            (x1, y1), (x2, y2) = pos[a], pos[b]
-            parts.append(
-                f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-                'stroke="black"/>'
-            )
-        for v, (x, y) in pos.items():
-            if v > 0:
-                parts.append(
-                    f'<text x="{x:.1f}" y="{y:.1f}" font-size="12" '
-                    f'text-anchor="middle">{v}</text>'
-                )
-            else:
-                fill = "black" if self.colors[v] == BLACK else "white"
-                parts.append(
-                    f'<circle cx="{x:.1f}" cy="{y:.1f}" r="6" fill="{fill}" '
-                    'stroke="black"/>'
-                )
-        parts.append("</svg>")
-        return "".join(parts)
-
-
-def _bfs_depth(g: PlabicGraph) -> dict[int, int]:
-    depth = {b: 0 for b in range(1, g.n + 1)}
-    queue = deque(depth)
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in depth:
-                depth[u] = depth[v] + 1
-                queue.append(u)
-    return {v: d for v, d in depth.items() if v < 0}
 
 
 # ----------------------------------------------------------------------
@@ -732,6 +676,14 @@ def graph_from_le(diagram: OPlusDiagram) -> PlabicGraph:
 
 # ----------------------------------------------------------------------
 # weighted networks from diagrams
+
+
+def _frac(value) -> Fraction:  # the float ban, for every module above this one
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("floats are not allowed; pass int, Fraction, or 'p/q'")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)

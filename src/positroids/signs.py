@@ -25,9 +25,9 @@ from .errors import (
     ShapeMismatch,
     SumMismatch,
     TemplateMismatch,
-    _frac,
+    _int,
 )
-from .linalg import _ZERO, RationalMatrix, _eliminate, _integer_kernel, \
+from .linalg import _ZERO, RationalMatrix, _eliminate, _frac, _integer_kernel, \
     _primitive_rows, _sign, _solve
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
@@ -147,8 +147,8 @@ class Domino:
     @classmethod
     def from_json(cls, data) -> "Domino":
         return cls(
-            int(data["n"]),
-            int(data["index"]),
+            _int(data["n"]),
+            _int(data["index"]),
             tuple(data["values"]),
         )
 

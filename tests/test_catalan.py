@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from positroids import render
 from positroids.catalan import (
     BinaryTree,
     DyckPath,
@@ -330,7 +331,7 @@ class TestPathPairs:
         assert PathPair.from_json(pair.to_json()) == pair
 
     def test_svg(self):
-        art = PathPair("HVHHV", "HVHVH").to_svg()
+        art = render.SVG["paths"](PathPair("HVHHV", "HVHVH"))
         assert art.startswith("<svg") and "polyline" in art
 
 
@@ -366,8 +367,8 @@ class TestDyckPaths:
         assert DyckPath.from_json(word) == path
 
     def test_ascii(self):
-        assert DyckPath("+-").ascii_art() == "/\\"
-        assert "/" in DyckPath(A5).ascii_art()
+        assert render.ASCII["dyck"](DyckPath("+-")) == "/\\"
+        assert "/" in render.ASCII["dyck"](DyckPath(A5))
 
 
 class TestOmegaLP:

@@ -409,7 +409,12 @@ class TestUsage:
         (["convert", "--from", "paths", "--to", "dyck"], '{"wu": {}, "wl": {}}'),
         (["convert", "--from", "paths", "--to", "dyck"], '{"wu": ["H"], "wl": ["H"]}'),
         (["convert", "--from", "dyck", "--to", "paths"], '""'),
-    ], ids=["int-dyck", "list-rotation", "object-words", "list-words", "empty-dyck"])
+        (["verify", "--kind", "diagram"], '{"k": 1, "n": 2, "shape": [1], "rows": [0]}'),
+        (["render", "--kind", "diagram", "--format", "ascii"],
+         '{"k": 1, "n": 2, "shape": [1], "rows": [0]}'),
+        (["verify", "--kind", "diagram"], '{"k": 1, "n": 2, "shape": [1], "rows": [["+"]]}'),
+    ], ids=["int-dyck", "list-rotation", "object-words", "list-words", "empty-dyck",
+            "int-row-verify", "int-row-render", "list-row"])
     def test_wrongly_typed_json_is_usage_error(self, argv, payload, capsys):
         code, text = invoke(argv, payload)
         assert code == 2 and text == ""

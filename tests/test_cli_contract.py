@@ -11,8 +11,10 @@ of the exit codes and stdout of every ``render`` kind and format and every
 ``convert`` arrow over whole small families; two more pin ``sample`` stdout.
 
 Fresh interpreters check what a request imports (each verb imports the
-package modules it uses on first use), and that a request answers the same
-bytes whether it runs alone or in a process with every module loaded.
+package modules it uses on first use, only a request that draws loads
+``render``, and only one that does exact arithmetic loads ``fractions``), and
+that a request answers the same bytes whether it runs alone or in a process
+with every module loaded.
 """
 
 import contextlib
@@ -255,6 +257,24 @@ def test_sample_bytes_are_pinned(request_line):
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_PINS[request_line]
 
 
+# sha256 of the stdout of two drawings a million units wide, where a width
+# written as an int ("1000010") and one written with :g ("1.00001e+06") part;
+# recorded while each drawer wrote its own <svg> header
+WIDE_PINS = {
+    ("diagram", json.dumps({"k": 0, "n": 41667, "shape": [], "rows": []})):
+        "eabc33669772fd931ea942cf554e6cc20d75059f7333dceb0f58c85fc353b967",
+    ("dyck", json.dumps("UD" * 31250)):
+        "37e06ab56ebc40927352b52d044f02f2c2fdbe6e33760dcf6f3016029507004a",
+}
+
+
+@pytest.mark.parametrize("kind, payload", sorted(WIDE_PINS), ids=["diagram", "dyck"])
+def test_wide_drawings_are_pinned(kind, payload):
+    code, out, _ = invoke(["render", "--kind", kind, "--format", "svg"], payload)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_PINS[kind, payload]
+
+
 def test_every_kind_and_arrow_is_pinned():
     assert set(RENDER_PINS) == {(k, f) for k in cli._KINDS for f in ("svg", "ascii")}
     assert set(ARROW_PINS) == set(cli._ARROWS)
@@ -264,13 +284,14 @@ def test_every_kind_and_arrow_is_pinned():
 # fresh processes: what a request imports, and that import order changes no byte
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
-# run one request in this interpreter, then list the package modules it loaded
+# the modules a probe lists: the package's, and fractions
+_LISTED = "sorted(m for m in sys.modules if m.startswith('positroids') or m == 'fractions')"
+# run one request in this interpreter, then list the modules it loaded
 _PROBE = ("import sys\n"
           "from positroids import cli\n"
           "code = cli.run(sys.argv[1:])\n"
           "sys.stdout.flush()\n"
-          "print(code, *sorted(m for m in sys.modules if m.startswith('positroids')),"
-          " file=sys.stderr)\n")
+          f"print(code, *{_LISTED}, file=sys.stderr)\n")
 
 
 def _spawn(args, stdin_text=""):
@@ -280,31 +301,45 @@ def _spawn(args, stdin_text=""):
 
 
 def _loaded(argv, stdin_text=""):
-    """Exit code and the package modules a fresh ``cli.run(argv)`` leaves loaded."""
+    """Exit code and the listed modules a fresh ``cli.run(argv)`` leaves loaded."""
     _, _, err = _spawn(["-c", _PROBE, *argv], stdin_text)
     code, *modules = err.splitlines()[-1].split()
     return int(code), {m.removeprefix("positroids.") for m in modules}
 
 
 def test_importing_the_cli_loads_no_package_module():
-    probe = ("import sys, positroids.cli; "
-             "print(*sorted(m for m in sys.modules if m.startswith('positroids')))")
-    _, out, _ = _spawn(["-c", probe])
+    _, out, _ = _spawn(["-c", f"import sys, positroids.cli; print(*{_LISTED})"])
     assert out.split() == ["positroids", "positroids.cli", "positroids.errors"]
+
+
+def _pinned_input(argv, payloads) -> str:
+    """The first input of a pinned family that the request accepts, else its first."""
+    texts = [json.dumps(payload) for payload in payloads]
+    return next((text for text in texts if invoke(argv, text)[0] == 0), texts[0])
 
 
 @pytest.mark.parametrize("argv, unused", [
     (["enumerate", "--kind", "dyck", "--n", "8", "--k", "2"],
      {"plabic", "linalg", "signs", "experiments"}),
     (["enumerate", "--kind", "diagram", "--n", "8", "--k", "3", "--m", "2"],
-     {"catalan", "plabic"}),
+     {"catalan", "plabic", "fractions"}),
     (["sample", "--n", "7", "--k", "2", "--m", "4", "--cell", "0", "--seed", "5"],
      {"signs", "experiments"}),
+    (["convert", "--from", "diagram", "--to", "permutation"],
+     {"catalan", "plabic", "linalg", "fractions"}),
+    (["render", "--kind", "tree", "--format", "svg"], {"plabic", "linalg", "signs"}),
+    (["render", "--kind", "dyck", "--format", "ascii"], {"plabic", "linalg", "signs"}),
+    (["enumerate", "--kind", "diagram", "--n", "7", "--k", "2", "--format", "ascii"],
+     {"catalan", "plabic", "fractions"}),
 ])
 def test_a_verb_imports_only_what_it_uses(argv, unused):
-    code, modules = _loaded(argv)
+    # a request that reads stdin gets a pinned input of its kind
+    text = _pinned_input(argv, _FAMILIES[argv[2]]) if argv[0] in ("convert", "render") else ""
+    code, modules = _loaded(argv, text)
     assert code == 0
     assert not modules & unused, modules & unused
+    # only a request that draws loads the drawers
+    assert ("render" in modules) == (argv[0] == "render" or "ascii" in argv), modules
 
 
 @pytest.mark.parametrize("argv, stdin_text", [
@@ -315,12 +350,6 @@ def test_a_verb_imports_only_what_it_uses(argv, unused):
 ])
 def test_a_usage_error_imports_nothing(argv, stdin_text):
     assert _loaded(argv, stdin_text) == (2, {"positroids", "cli", "errors"})
-
-
-def _pinned_input(argv, payloads) -> str:
-    """The first input of a pinned family that the request accepts, else its first."""
-    texts = [json.dumps(payload) for payload in payloads]
-    return next((text for text in texts if invoke(argv, text)[0] == 0), texts[0])
 
 
 @pytest.mark.parametrize("argv, kind", [

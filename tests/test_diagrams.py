@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from positroids import render
 from positroids.diagrams import (
     OPlusDiagram,
     apply_move,
@@ -326,11 +327,11 @@ class TestSerialization:
         assert OPlusDiagram.from_json(blob) == TEN
 
     def test_ascii(self):
-        art = OPlusDiagram.from_rows(2, 5, ["+0+", "00"]).ascii_art()
+        art = render.ASCII["diagram"](OPlusDiagram.from_rows(2, 5, ["+0+", "00"]))
         assert art.splitlines() == ["+ 0 +", "0 0"]
 
     def test_svg_smoke(self):
-        svg = TEN.to_svg()
+        svg = render.SVG["diagram"](TEN)
         assert svg.startswith("<svg") and svg.endswith("</svg>")
 
     @given(diagrams())

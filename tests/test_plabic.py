@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from positroids import render
 from positroids.diagrams import (
     OPlusDiagram,
     enumerate_diagrams,
@@ -413,6 +414,6 @@ class TestSerialization:
             PlabicGraph(2, {}, path, {1: (0,), -1: (1, 2), 2: (3,)})
 
     def test_svg_smoke(self):
-        svg = graph_from_le(TEN).to_svg()
+        svg = render.SVG["graph"](graph_from_le(TEN))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert svg.count("<circle") >= 12

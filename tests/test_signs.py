@@ -127,6 +127,17 @@ class TestDomino:
         with pytest.raises(TypeError):
             Domino.from_json({"n": 6, "index": 4, "values": [0.5, 1]})
 
+    @pytest.mark.parametrize("data", [
+        {"n": "3", "index": 2, "values": ["1", "2"]},
+        {"n": 3, "index": 2.9, "values": ["1", "2"]},
+        {"n": True, "index": 1, "values": ["1"]},
+        {"n": 3, "index": True, "values": ["1", "2"]},
+    ], ids=["str-n", "float-index", "bool-n", "bool-index"])
+    def test_json_integer_fields_are_not_coerced(self, data):
+        # each payload is a valid domino once n and index are coerced to int
+        with pytest.raises(TypeError):
+            Domino.from_json(data)
+
     def test_scaled(self):
         d = Domino(5, 2, (1, 3)).scaled(-2)
         assert d.values == (-2, -6) and d.sign == "-"
