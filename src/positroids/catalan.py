@@ -2,18 +2,21 @@
 
 Four Catalan-family indexings of the same cell collection, with the
 bijections among them and down to plabic graphs and diagrams.  Path
-words are read from the northeast corner: H steps west, V steps south.
+words are read from the northeast corner: H steps west, V steps south;
+their shapes come from ``diagrams``.  The closed forms that count the
+families (Narayana, MacMahon) are computed on integers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .diagrams import _young_rows, is_noncrossing, noncrossing_pairs
-from .errors import BadRange, Crossing, InvariantViolated, NotBCFWGraph, _int
+from .diagrams import _pair_words, _rectangle, _shapes, _word_from_rows, _young_rows, \
+    noncrossing_pairs
+from .errors import BadRange, InvariantViolated, NotBCFWGraph, _int, _list
 
 if TYPE_CHECKING:
     from .plabic import PlabicGraph
@@ -196,17 +199,7 @@ class PathPair:
     m: int = 4
 
     def __post_init__(self) -> None:
-        for word in (self.wu, self.wl):
-            if set(word) - {"H", "V"}:
-                raise ValueError("path words use only H and V")
-        if len(self.wu) != len(self.wl):
-            raise ValueError("the two words must have equal length")
-        if not isinstance(self.wu, str) or not isinstance(self.wl, str):
-            raise TypeError("path words are strings of H and V")
-        if self.wu.count("V") != self.wl.count("V"):
-            raise ValueError("the two words must have equally many V steps")
-        if not is_noncrossing(self.wu, self.wl):
-            raise Crossing(f"lower path crosses above upper: {self.wu!r}, {self.wl!r}")
+        _rectangle((self.wu, self.wl))
 
     @property
     def k(self) -> int:
@@ -235,13 +228,6 @@ def enumerate_path_pairs(n: int, k: int) -> Iterator[PathPair]:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
     for wu, wl in noncrossing_pairs(k, b):
         yield PathPair(wu, wl)
-
-
-def _pair_words(paths) -> tuple[str, str]:
-    if hasattr(paths, "wu"):
-        return paths.wu, paths.wl
-    wu, wl = paths
-    return wu, wl
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +346,7 @@ def _lp(wu: str, wl: str) -> str:
 
 def omega_LP(paths) -> DyckPath:
     """Dyck path of a noncrossing pair via the three-case recursion."""
-    wu, wl = _pair_words(paths)
-    return DyckPath(_lp(wu, wl))
+    return DyckPath(_lp(*_pair_words(paths)))
 
 
 def shadow_touch(path: DyckPath, x: int) -> int:
@@ -390,31 +375,22 @@ def omega_PL(path: DyckPath) -> PathPair:
     if path.n < 4:
         raise BadRange("the empty Dyck path (n=3) corresponds to no path pair")
     steps = path.steps
-    heights = path.heights
     ups = [x for x, ch in enumerate(steps) if ch == "+"]
     letters = [
         "V" if x + 1 < len(steps) and steps[x + 1] == "+" else "H" for x in ups
     ]
     wl = "".join(letters[:-1])
     b = wl.count("H")
-    # one marked point per double up-step
+    # one marked point per double up-step, and one row of the upper shape
     points = [x for x in ups if x + 1 < len(steps) and steps[x + 1] == "+"]
-    gaps = []
+    rows = []
     seen_h = 0
-    for i, letter in enumerate(wl):
+    for letter in wl:
         if letter == "V":
-            touch = shadow_touch(path, points[len(gaps)])
-            gaps.append(seen_h + touch - 1)
+            rows.append(b + 1 - seen_h - shadow_touch(path, points[len(rows)]))
         else:
             seen_h += 1
-    parts = []
-    prev = 0
-    for g in gaps:
-        parts.append("H" * (g - prev))
-        parts.append("V")
-        prev = g
-    parts.append("H" * (b - prev))
-    return PathPair("".join(parts), wl)
+    return PathPair(_word_from_rows(tuple(rows), b), wl)
 
 
 def dyck_step_labels(path: DyckPath):
@@ -460,17 +436,6 @@ def dyck_step_labels(path: DyckPath):
 # plane partitions
 
 
-def _word_from_rows(rows: tuple[int, ...], width: int) -> str:
-    prev = width
-    parts = []
-    for x in rows:
-        parts.append("H" * (prev - x))
-        parts.append("V")
-        prev = x
-    parts.append("H" * prev)
-    return "".join(parts)
-
-
 @dataclass(frozen=True)
 class NoncrossingPathTuple:
     """Paths in a common rectangle, each weakly northeast of the next."""
@@ -478,20 +443,8 @@ class NoncrossingPathTuple:
     words: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        words = tuple(self.words)
-        object.__setattr__(self, "words", words)
-        rectangle = None
-        for word in words:
-            if set(word) - {"H", "V"}:
-                raise ValueError("path words use only H and V")
-            counts = (word.count("V"), word.count("H"))
-            if rectangle is None:
-                rectangle = counts
-            elif counts != rectangle:
-                raise ValueError("all paths must share one rectangle")
-        for upper, lower in zip(words, words[1:]):
-            if not is_noncrossing(upper, lower):
-                raise Crossing(f"paths cross: {upper!r}, {lower!r}")
+        object.__setattr__(self, "words", tuple(self.words))
+        _rectangle(self.words)
 
     @classmethod
     def _built(cls, words: tuple[str, ...]) -> "NoncrossingPathTuple":
@@ -518,7 +471,7 @@ class NoncrossingPathTuple:
 
     @classmethod
     def from_json(cls, data: dict) -> "NoncrossingPathTuple":
-        return cls(tuple(data["paths"]))
+        return cls(tuple(_list(data["paths"])))
 
 
 # the largest a x b x c box (each side counted at least once) read from JSON
@@ -571,9 +524,10 @@ class PlanePartition:
             raise BadRange(f"box dimensions must be nonnegative, got {(a, b, c)}")
         if max(a, 1) * max(b, 1) * max(c, 1) > _MAX_BOX_CELLS:
             raise BadRange(f"box {(a, b, c)} has more than {_MAX_BOX_CELLS} cells")
-        if len(data["rows"]) > a or any(len(r) > b for r in data["rows"]):
+        given = [_list(r) for r in _list(data["rows"])]
+        if len(given) > a or any(len(r) > b for r in given):
             raise BadRange(f"rows do not fit in the {a}x{b} array")
-        rows = [tuple(map(_int, r)) + (0,) * (b - len(r)) for r in data["rows"]]
+        rows = [tuple(map(_int, r)) + (0,) * (b - len(r)) for r in given]
         rows += [(0,) * b] * (a - len(rows))
         return cls(a, b, c, tuple(rows))
 
@@ -601,22 +555,13 @@ def plane_partition_to_paths(partition: PlanePartition) -> NoncrossingPathTuple:
     return NoncrossingPathTuple(tuple(words))
 
 
-def _subpartitions(outer: tuple[int, ...], cap: Optional[int] = None):
-    if not outer:
-        yield ()
-        return
-    top = outer[0] if cap is None else min(outer[0], cap)
-    for first in range(top, -1, -1):
-        for rest in _subpartitions(outer[1:], first):
-            yield (first,) + rest
-
-
 def enumerate_path_tuples(a: int, b: int, c: int) -> Iterator[NoncrossingPathTuple]:
     """All c-tuples of noncrossing paths in the a x b rectangle."""
     if min(a, b, c) < 0:
         raise BadRange(f"box dimensions must be nonnegative, got {(a, b, c)}")
 
-    # memoised per call: the subpartitions of each outer shape, each shape's word
+    # memoised per call: the shapes inside each outer shape, each shape's word
+    empty = (0,) * a
     inner: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     word: dict[tuple[int, ...], str] = {}
 
@@ -626,7 +571,7 @@ def enumerate_path_tuples(a: int, b: int, c: int) -> Iterator[NoncrossingPathTup
             yield ()
             return
         if outer not in inner:
-            inner[outer] = tuple(_subpartitions(outer))
+            inner[outer] = tuple(_shapes(empty, outer))
         for shape in inner[outer]:
             if shape not in word:
                 word[shape] = _word_from_rows(shape, b)
@@ -636,15 +581,24 @@ def enumerate_path_tuples(a: int, b: int, c: int) -> Iterator[NoncrossingPathTup
     yield from map(NoncrossingPathTuple._built, chains((b,) * a, c))
 
 
+# ----------------------------------------------------------------------
+# closed forms
+
+
+def narayana(a: int, b: int) -> int:
+    """Number of size-``a`` triangulation classes with ``b`` distinguished parts."""
+    if not 1 <= b <= a:
+        return 0
+    return comb(a, b) * comb(a, b - 1) // a
+
+
 def macmahon(a: int, b: int, c: int) -> int:
-    """Number of plane partitions in an a x b x c box, as an exact product."""
+    """Number of plane partitions in an a x b x c box: MacMahon's product,
+    telescoped in c to that of (i+j+c-1)/(i+j-1) over the a x b cells."""
     if min(a, b, c) < 0:
         raise ValueError("box dimensions must be nonnegative")
-    total = Fraction(1)
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                total *= Fraction(i + j + k - 1, i + j + k - 2)
-    if total.denominator != 1:
+    sums = [i + j for i in range(1, a + 1) for j in range(1, b + 1)]
+    total, remainder = divmod(prod(s + c - 1 for s in sums), prod(s - 1 for s in sums))
+    if remainder:
         raise InvariantViolated("the triple product must be an integer")
-    return int(total)
+    return total

@@ -8,15 +8,18 @@ row-and-column sorted representative of the same cell.
 
 Boxes are addressed as (row, column), both 1-indexed, row 1 at the top.
 A filling is stored as one string per row over the alphabet ``0+``.
+
+The lattice geometry of every path family lives here too: a path in a
+k x b rectangle is a Young shape, or a word read from the northeast corner
+(H west, V south), and a path pair or tuple is a chain of nested shapes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BadRange, Crossing, NotReduced, _int
+from .errors import BadRange, Crossing, NotReduced, _int, _list
 from .permutations import DecoratedPermutation
 
 
@@ -139,10 +142,11 @@ class OPlusDiagram:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "OPlusDiagram":
-        k, n, shape = _int(data["k"]), _int(data["n"]), tuple(_int(v) for v in data["shape"])
-        if not all(isinstance(r, str) for r in data["rows"]):
+        k, n = _int(data["k"]), _int(data["n"])
+        shape, rows = tuple(map(_int, _list(data["shape"]))), tuple(_list(data["rows"]))
+        if not all(isinstance(r, str) for r in rows):
             raise TypeError("each row must be a string over 0 and +")
-        return cls(k, n, shape, tuple(data["rows"]))
+        return cls(k, n, shape, rows)
 
 
 # ----------------------------------------------------------------------
@@ -315,13 +319,30 @@ def le_normalize(diagram: OPlusDiagram) -> OPlusDiagram:
 
 
 # ----------------------------------------------------------------------
-# path pairs to diagrams
+# lattice shapes and path words
 
 
-def _word_counts(word: str) -> tuple[int, int]:
-    if set(word) - {"H", "V"}:
-        raise ValueError("path words use only H and V")
-    return word.count("V"), word.count("H")
+def _shapes(floor: tuple[int, ...], ceiling: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing tuples between two such bounds entrywise, lex-decreasing.
+
+    Between ``(0,)*k`` and ``(b,)*k`` these are the k x b rectangle's paths
+    (``_young_rows``), in the lex order of their V steps' positions.
+    """
+    if any(f > c for f, c in zip(floor, ceiling)):
+        return
+    shape = list(ceiling)
+    last = len(shape) - 1
+    while True:
+        yield tuple(shape)
+        # the next shape: lower the last entry above its floor, raise the later ones
+        i = last
+        while i >= 0 and shape[i] == floor[i]:
+            i -= 1
+        if i < 0:
+            return
+        shape[i] -= 1
+        for j in range(i + 1, last + 1):
+            shape[j] = min(ceiling[j], shape[j - 1])
 
 
 def _young_rows(word: str) -> tuple[int, ...]:
@@ -336,6 +357,24 @@ def _young_rows(word: str) -> tuple[int, ...]:
     return tuple(reversed(rows))
 
 
+def _word_from_rows(rows: tuple[int, ...], width: int) -> str:
+    """Inverse of _young_rows: the path of a shape in a rectangle ``width`` wide."""
+    prev = width
+    parts = []
+    for x in rows:
+        parts.append("H" * (prev - x))
+        parts.append("V")
+        prev = x
+    parts.append("H" * prev)
+    return "".join(parts)
+
+
+def _pair_words(paths) -> tuple[str, str]:
+    """The words of an object with ``wu``/``wl`` attributes, or of a pair of words."""
+    wu, wl = (paths.wu, paths.wl) if hasattr(paths, "wu") else paths
+    return wu, wl
+
+
 def is_noncrossing(wu: str, wl: str) -> bool:
     """Upper path weakly northeast of the lower path."""
     vu = vl = 0
@@ -347,6 +386,25 @@ def is_noncrossing(wu: str, wl: str) -> bool:
     return True
 
 
+def _rectangle(words) -> tuple[int, int] | None:
+    """The (V, H) step counts shared by path words, each weakly northeast of
+    the next; each word is checked in turn, letters before rectangle."""
+    rectangle = None
+    for word in words:
+        if not isinstance(word, str):
+            raise TypeError("path words are strings of H and V")
+        if set(word) - {"H", "V"}:
+            raise ValueError("path words use only H and V")
+        if rectangle is None:
+            rectangle = word.count("V"), word.count("H")
+        elif (word.count("V"), word.count("H")) != rectangle:
+            raise ValueError("all paths must share one rectangle")
+    for upper, lower in zip(words, words[1:]):
+        if not is_noncrossing(upper, lower):
+            raise Crossing(f"lower path crosses above upper: {upper!r}, {lower!r}")
+    return rectangle
+
+
 def omega_LD(paths) -> OPlusDiagram:
     """Build the diagram of a noncrossing path pair.
 
@@ -355,17 +413,8 @@ def omega_LD(paths) -> OPlusDiagram:
     one top-justified 0 column per upper-path column as far right as
     possible, give every row its two rightmost free +, then zero out.
     """
-    if hasattr(paths, "wu"):
-        wu, wl = paths.wu, paths.wl
-    else:
-        wu, wl = paths
-    ku, bu = _word_counts(wu)
-    kl, bl = _word_counts(wl)
-    if (ku, bu) != (kl, bl):
-        raise ValueError("paths must have equal step counts")
-    if not is_noncrossing(wu, wl):
-        raise Crossing("upper path dips below the lower path")
-    k, b = ku, bu
+    wu, wl = _pair_words(paths)
+    k, b = _rectangle((wu, wl))
     n = k + b + 4
     lower = _young_rows(wl)
     upper = _young_rows(wu)
@@ -400,27 +449,14 @@ def omega_LD(paths) -> OPlusDiagram:
 # families
 
 
-def _partitions_in_box(rows: int, width: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing tuples with ``rows`` entries in [minimum, width]."""
-    if rows == 0:
-        yield ()
-        return
-    for first in range(width, minimum - 1, -1):
-        for rest in _partitions_in_box(rows - 1, first, minimum):
-            yield (first,) + rest
-
-
 def noncrossing_pairs(k: int, b: int) -> Iterator[tuple[str, str]]:
-    """All noncrossing pairs of words with k V steps and b H steps."""
-    words = []
-    for spots in itertools.combinations(range(k + b), k):
-        word = ["H"] * (k + b)
-        for s in spots:
-            word[s] = "V"
-        words.append("".join(word))
-    for wu, wl in itertools.product(words, repeat=2):
-        if is_noncrossing(wu, wl):
-            yield wu, wl
+    """All noncrossing pairs of words with k V steps and b H steps: the
+    lower shape contains the upper one, each in the order of ``_shapes``."""
+    full = (b,) * k
+    words = {shape: _word_from_rows(shape, b) for shape in _shapes((0,) * k, full)}
+    for upper, wu in words.items():
+        for lower in _shapes(upper, full):
+            yield wu, words[lower]
 
 
 def enumerate_diagrams(n: int, k: int, m: int) -> list[OPlusDiagram]:
@@ -432,11 +468,8 @@ def enumerate_diagrams(n: int, k: int, m: int) -> list[OPlusDiagram]:
     if m not in (1, 2, 3, 4) or k < 0 or k > n - m:
         raise BadRange(f"no family for n={n}, k={k}, m={m}")
     if m == 2:
-        out = []
-        for shape in _partitions_in_box(k, n - k, minimum=2):
-            rows = tuple("+" + "0" * (lam - 2) + "+" for lam in shape)
-            out.append(OPlusDiagram(k, n, shape, rows))
-        return out
+        return [OPlusDiagram(k, n, shape, tuple("+" + "0" * (lam - 2) + "+" for lam in shape))
+                for shape in _shapes((2,) * k, (n - k,) * k)]
     if m == 4:
         return [omega_LD(pair) for pair in noncrossing_pairs(k, n - k - 4)]
     if m == 1:

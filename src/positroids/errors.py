@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer check.
+"""Exception types shared across the package, and its integer and list checks.
 
 It imports nothing, so a usage error loads no more than it and the CLI.
 """
@@ -8,6 +8,13 @@ def _int(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise TypeError(f"expected an integer, not {type(value).__name__}")
+
+
+def _list(value) -> list:
+    """A JSON array, so that a reader never iterates a string or an object."""
+    if isinstance(value, list):
+        return value
+    raise TypeError(f"expected a list, not {type(value).__name__}")
 
 
 class PositroidError(ValueError):

@@ -18,7 +18,7 @@ from math import comb
 from typing import Sequence
 
 from .catalan import enumerate_dyck_paths, enumerate_path_pairs, enumerate_trees, \
-    macmahon, omega_PL, omega_TL, tree_to_graph
+    macmahon, narayana, omega_PL, omega_TL, tree_to_graph
 from .diagrams import OPlusDiagram, enumerate_diagrams, le_normalize, omega_LD, \
     pipe_dream_permutation
 from .errors import BadRange, InvariantViolated, NoMatch, SearchExhausted
@@ -27,13 +27,6 @@ from .linalg import RationalMatrix, _cell_samples, _frac, _plucker_key, _sample_
     z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
 from .signs import m2_standard_basis, p_domino_basis, standard_basis_k2, var
-
-
-def narayana(a: int, b: int) -> int:
-    """Number of size-``a`` triangulation classes with ``b`` distinguished parts."""
-    if not 1 <= b <= a:
-        return 0
-    return comb(a, b) * comb(a, b - 1) // a
 
 
 @dataclass

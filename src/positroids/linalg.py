@@ -24,6 +24,7 @@ from .errors import (
     RankLoss,
     ShapeMismatch,
     _int,
+    _list,
 )
 from .plabic import Network, _frac, build_network
 
@@ -122,7 +123,7 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[str]], cols: Optional[int] = None):
-        return cls(tuple(map(tuple, data)), cols=cols)
+        return cls(tuple(tuple(_list(row)) for row in _list(data)), cols=cols)
 
 
 # ----------------------------------------------------------------------

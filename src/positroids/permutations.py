@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import _int
+from .errors import _int, _list
 
 
 BLACK = "black"
@@ -140,8 +140,8 @@ class DecoratedPermutation:
     def from_json(cls, data: Mapping) -> "DecoratedPermutation":
         return cls(
             _int(data["n"]),
-            tuple(_int(v) for v in data["images"]),
-            frozenset(_int(v) for v in data.get("white_fixed", ())),
+            tuple(_int(v) for v in _list(data["images"])),
+            frozenset(_int(v) for v in _list(data.get("white_fixed", []))),
         )
 
     @classmethod

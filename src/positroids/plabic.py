@@ -27,6 +27,7 @@ from .errors import (
     NotLe,
     NotReduced,
     _int,
+    _list,
 )
 from .permutations import BLACK, WHITE, DecoratedPermutation
 
@@ -206,11 +207,11 @@ class PlabicGraph:
     @classmethod
     def from_json(cls, data: Mapping) -> "PlabicGraph":
         n = _int(data["n"])
-        colors = {_int(item["id"]): item["color"] for item in data["internal"]}
-        edges = tuple((_int(a), _int(b)) for a, b in data["edges"])
+        colors = {_int(item["id"]): item["color"] for item in _list(data["internal"])}
+        edges = tuple((_int(a), _int(b)) for a, b in _list(data["edges"]))
         if not isinstance(data["rotation"], Mapping):
             raise TypeError("rotation must map each vertex to its half-edges")
-        rotation = {int(v): tuple(_int(h) for h in hs) for v, hs in data["rotation"].items()}
+        rotation = {int(v): tuple(map(_int, _list(hs))) for v, hs in data["rotation"].items()}
         if [str(v) for v in rotation] != list(data["rotation"]):
             raise ValueError("rotation keys must be vertex ids in plain decimal, each once")
         return cls(n, colors, edges, rotation)
@@ -683,6 +684,11 @@ def _frac(value) -> Fraction:  # the float ban, for every module above this one
         return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed; pass int, Fraction, or 'p/q'")
+    if isinstance(value, str):  # Fraction builds 10**exponent: cap it as int() caps literals
+        _, e, exponent = value.upper().rpartition("E")
+        digits = exponent.strip().lstrip("+-").replace("_", "")
+        if e and digits.isdecimal() and int(digits) > 4300:  # default_max_str_digits
+            raise ValueError(f"decimal exponent beyond ±4300: {exponent.strip()!r}")
     return Fraction(value)
 
 

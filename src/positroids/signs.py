@@ -26,6 +26,7 @@ from .errors import (
     SumMismatch,
     TemplateMismatch,
     _int,
+    _list,
 )
 from .linalg import _ZERO, RationalMatrix, _eliminate, _frac, _integer_kernel, \
     _primitive_rows, _sign, _solve
@@ -149,7 +150,7 @@ class Domino:
         return cls(
             _int(data["n"]),
             _int(data["index"]),
-            tuple(data["values"]),
+            tuple(_list(data["values"])),
         )
 
 

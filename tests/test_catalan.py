@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +26,7 @@ from positroids.catalan import (
     shadow_touch,
     tree_to_graph,
 )
-from positroids.diagrams import omega_LD, pipe_dream_permutation
+from positroids.diagrams import _shapes, omega_LD, pipe_dream_permutation
 from positroids.errors import BadRange, Crossing, NotBCFWGraph
 from positroids.permutations import BLACK, WHITE
 from positroids.plabic import (
@@ -82,6 +84,27 @@ def horizontal_leaves(t: BinaryTree) -> int:
     )
 
 
+def subpartitions(outer: tuple, cap=None):
+    """The shapes inside ``outer``, lex-decreasing: the former generator."""
+    if not outer:
+        yield ()
+        return
+    top = outer[0] if cap is None else min(outer[0], cap)
+    for first in range(top, -1, -1):
+        for rest in subpartitions(outer[1:], first):
+            yield (first,) + rest
+
+
+def fraction_macmahon(a: int, b: int, c: int) -> Fraction:
+    """MacMahon's triple product over Fractions, the former closed form."""
+    total = Fraction(1)
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for k in range(1, c + 1):
+                total *= Fraction(i + j + k - 1, i + j + k - 2)
+    return total
+
+
 def reference_path_tuples(a: int, b: int, c: int):
     """The path-tuple generator without memoisation: every chain of c
     nested shapes in the a x b box, largest first, each shape's word built
@@ -96,15 +119,6 @@ def reference_path_tuples(a: int, b: int, c: int):
             prev = x
         parts.append("H" * prev)
         return "".join(parts)
-
-    def subpartitions(outer: tuple, cap=None):
-        if not outer:
-            yield ()
-            return
-        top = outer[0] if cap is None else min(outer[0], cap)
-        for first in range(top, -1, -1):
-            for rest in subpartitions(outer[1:], first):
-                yield (first,) + rest
 
     def chains(outer: tuple, depth: int):
         if depth == 0:
@@ -302,7 +316,7 @@ class TestPathPairs:
         with pytest.raises(Crossing):
             PathPair("VH", "HV")
 
-    @pytest.mark.parametrize("wu,wl", [("HV", "VV"), ("HV", "H"), ("XY", "HV")])
+    @pytest.mark.parametrize("wu,wl", [("HV", "VV"), ("HV", "H"), ("XY", "HV"), ("VH", "VHH")])
     def test_malformed(self, wu, wl):
         with pytest.raises(ValueError):
             PathPair(wu, wl)
@@ -516,9 +530,17 @@ class TestPlanePartitions:
         assert macmahon(1, 1, 1) == 2
         assert macmahon(1, 1, 2) == 3
 
-    def test_macmahon_symmetry(self):
-        import itertools
+    def test_macmahon_matches_the_fraction_product(self):
+        for a, b, c in itertools.product(range(8), repeat=3):
+            assert macmahon(a, b, c) == fraction_macmahon(a, b, c)
 
+    def test_shapes_inside_match_subpartitions(self):
+        outers = [(b,) * a for a in range(5) for b in range(5)]
+        outers += [(5, 3, 3, 1), (4, 4, 0), (6, 2, 1, 1, 0), (3, 3, 2, 2, 1, 1)]
+        for outer in outers:
+            assert list(_shapes((0,) * len(outer), outer)) == list(subpartitions(outer))
+
+    def test_macmahon_symmetry(self):
         for a in range(0, 7):
             for b in range(a, 7):
                 for c in range(b, 7):

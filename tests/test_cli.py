@@ -397,6 +397,21 @@ class TestUsage:
         assert code == 2 and text == ""
         assert "11x22 matrix for Gr(1,22)" in capsys.readouterr().err
 
+    def test_huge_decimal_exponent_refused(self, capsys):
+        # Fraction would build the power of ten first: seconds for "1e3000000"
+        def member(entry):
+            return json.dumps({"diagram": {"k": 1, "n": 1, "shape": [0], "rows": [""]},
+                               "matrix": [[entry]]})
+
+        start = time.perf_counter()
+        code, text = invoke(["verify", "--kind", "membership"], member("1e3000000"))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "decimal exponent" in err and "internal error" not in err
+        assert invoke(["verify", "--kind", "membership"], member("1e3")) == (
+            0, '{"member": true}\n')
+
     def test_nonpositive_count_rejected(self):
         for count in ("-1", "0"):
             code, text = invoke(["sample", "--n", "6", "--k", "1", "--count", count])
@@ -413,8 +428,25 @@ class TestUsage:
         (["render", "--kind", "diagram", "--format", "ascii"],
          '{"k": 1, "n": 2, "shape": [1], "rows": [0]}'),
         (["verify", "--kind", "diagram"], '{"k": 1, "n": 2, "shape": [1], "rows": [["+"]]}'),
+        (["verify", "--kind", "diagram"], '{"k": 1, "n": 2, "shape": [1], "rows": "0"}'),
+        (["render", "--kind", "diagram", "--format", "ascii"],
+         '{"k": 1, "n": 2, "shape": [1], "rows": {"+": 1}}'),
+        (["verify", "--kind", "membership"],
+         '{"diagram": {"k": 1, "n": 1, "shape": [0], "rows": [""]}, "matrix": "1"}'),
+        (["verify", "--kind", "membership"],
+         '{"diagram": {"k": 1, "n": 3, "shape": [2], "rows": ["++"]}, "matrix": {"123": 0}}'),
+        (["verify", "--kind", "membership"],
+         '{"diagram": {"k": 1, "n": 3, "shape": [2], "rows": ["++"]}, "matrix": ["123"]}'),
+        (["render", "--kind", "planepartition", "--format", "ascii"],
+         '{"a": 1, "b": 1, "c": 1, "rows": [""]}'),
+        (["render", "--kind", "permutation", "--format", "ascii"],
+         '{"n": 1, "images": [1], "white_fixed": {}}'),
+        (["convert", "--from", "graph", "--to", "permutation"],
+         '{"n": 2, "internal": {}, "edges": [[1, 2]], "rotation": {"1": [0], "2": [1]}}'),
     ], ids=["int-dyck", "list-rotation", "object-words", "list-words", "empty-dyck",
-            "int-row-verify", "int-row-render", "list-row"])
+            "int-row-verify", "int-row-render", "list-row", "string-rows", "object-rows",
+            "string-matrix", "object-matrix", "string-matrix-row", "string-filling-row",
+            "object-white-fixed", "object-internal"])
     def test_wrongly_typed_json_is_usage_error(self, argv, payload, capsys):
         code, text = invoke(argv, payload)
         assert code == 2 and text == ""

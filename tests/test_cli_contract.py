@@ -320,17 +320,27 @@ def _pinned_input(argv, payloads) -> str:
 
 @pytest.mark.parametrize("argv, unused", [
     (["enumerate", "--kind", "dyck", "--n", "8", "--k", "2"],
-     {"plabic", "linalg", "signs", "experiments"}),
+     {"plabic", "linalg", "signs", "experiments", "fractions"}),
     (["enumerate", "--kind", "diagram", "--n", "8", "--k", "3", "--m", "2"],
      {"catalan", "plabic", "fractions"}),
     (["sample", "--n", "7", "--k", "2", "--m", "4", "--cell", "0", "--seed", "5"],
      {"signs", "experiments"}),
     (["convert", "--from", "diagram", "--to", "permutation"],
      {"catalan", "plabic", "linalg", "fractions"}),
-    (["render", "--kind", "tree", "--format", "svg"], {"plabic", "linalg", "signs"}),
-    (["render", "--kind", "dyck", "--format", "ascii"], {"plabic", "linalg", "signs"}),
+    (["render", "--kind", "tree", "--format", "svg"],
+     {"plabic", "linalg", "signs", "fractions"}),
+    (["render", "--kind", "dyck", "--format", "ascii"],
+     {"plabic", "linalg", "signs", "fractions"}),
     (["enumerate", "--kind", "diagram", "--n", "7", "--k", "2", "--format", "ascii"],
      {"catalan", "plabic", "fractions"}),
+    (["enumerate", "--kind", "paths", "--n", "8", "--k", "2"],
+     {"plabic", "linalg", "signs", "experiments", "fractions"}),
+    (["convert", "--from", "dyck", "--to", "paths"],
+     {"plabic", "linalg", "signs", "experiments", "fractions"}),
+    (["convert", "--from", "paths", "--to", "dyck"],
+     {"plabic", "linalg", "signs", "experiments", "fractions"}),
+    (["render", "--kind", "planepartition", "--format", "ascii"],
+     {"plabic", "linalg", "signs", "experiments", "fractions"}),
 ])
 def test_a_verb_imports_only_what_it_uses(argv, unused):
     # a request that reads stdin gets a pinned input of its kind

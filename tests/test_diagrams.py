@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -10,8 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from positroids import render
+from positroids.catalan import enumerate_path_pairs
 from positroids.diagrams import (
     OPlusDiagram,
+    _shapes,
     apply_move,
     enumerate_diagrams,
     find_move,
@@ -50,6 +53,29 @@ def diagrams(draw, max_k: int = 4, max_width: int = 5):
 
 def narayana(n: int, k: int) -> int:
     return math.comb(n, k) * math.comb(n, k - 1) // n
+
+
+def quadratic_noncrossing_pairs(k: int, b: int):
+    """The former pair generator: every pair of words, filtered."""
+    words = []
+    for spots in itertools.combinations(range(k + b), k):
+        word = ["H"] * (k + b)
+        for s in spots:
+            word[s] = "V"
+        words.append("".join(word))
+    for wu, wl in itertools.product(words, repeat=2):
+        if is_noncrossing(wu, wl):
+            yield wu, wl
+
+
+def partitions_in_box(rows: int, width: int, minimum: int = 0):
+    """The former m=2 shape generator: ``rows`` entries in [minimum, width]."""
+    if rows == 0:
+        yield ()
+        return
+    for first in range(width, minimum - 1, -1):
+        for rest in partitions_in_box(rows - 1, first, minimum):
+            yield (first,) + rest
 
 
 class TestBorderLabels:
@@ -263,6 +289,37 @@ class TestPathPairs:
     def test_empty_pair(self):
         d = omega_LD(("", ""))
         assert (d.k, d.n, d.rows) == (0, 4, ())
+
+
+class TestLatticeShapes:
+    def test_shapes_are_the_sorted_decreasing_tuples_between_bounds(self):
+        for k in range(4):
+            bounds = list(partitions_in_box(k, 3))
+            for floor, ceiling in itertools.product(bounds, repeat=2):
+                boxes = itertools.product(*(range(f, c + 1) for f, c in zip(floor, ceiling)))
+                decreasing = [t for t in boxes if all(x >= y for x, y in zip(t, t[1:]))]
+                assert list(_shapes(floor, ceiling)) == sorted(decreasing, reverse=True)
+
+    def test_pairs_match_the_quadratic_filter(self):
+        for k in range(6):
+            for b in range(6):
+                assert list(noncrossing_pairs(k, b)) == list(quadratic_noncrossing_pairs(k, b))
+
+    def test_path_pairs_match_the_quadratic_filter(self):
+        for n in range(4, 11):
+            for k in range(n - 3):
+                got = [(p.wu, p.wl) for p in enumerate_path_pairs(n, k)]
+                assert got == list(quadratic_noncrossing_pairs(k, n - k - 4))
+
+    def test_families_match_the_former_generators(self):
+        for n in range(2, 10):
+            for k in range(n - 1):
+                assert [d.shape for d in enumerate_diagrams(n, k, 2)] == list(
+                    partitions_in_box(k, n - k, minimum=2))
+        for n in range(4, 10):
+            for k in range(n - 3):
+                assert enumerate_diagrams(n, k, 4) == [
+                    omega_LD(p) for p in quadratic_noncrossing_pairs(k, n - k - 4)]
 
 
 class TestFamilies:

@@ -4,8 +4,6 @@ Each guarded property always holds, so every test breaks one helper with
 monkeypatch to reach the check.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from positroids import catalan, experiments, signs
@@ -57,6 +55,7 @@ def test_matching_vector_variation(monkeypatch):
 
 
 def test_macmahon_integrality(monkeypatch):
-    monkeypatch.setattr(catalan, "Fraction", lambda *args: Fraction(1, 2))
+    # sums for products leave a remainder at (1, 2, 1): (2 + 3) divided by (1 + 2)
+    monkeypatch.setattr(catalan, "prod", sum)
     with pytest.raises(InvariantViolated, match="integer"):
-        catalan.macmahon(1, 1, 1)
+        catalan.macmahon(1, 2, 1)

@@ -141,6 +141,19 @@ class TestRationalMatrix:
         with pytest.raises(TypeError):
             RationalMatrix.from_json([[1.5, 1, 1]])
 
+    def test_json_containers_are_lists(self):
+        for data in ("1", {"123": 0}, ["123"], [{"1": 0}]):
+            with pytest.raises(TypeError, match="expected a list"):
+                RationalMatrix.from_json(data)
+
+    def test_decimal_exponent_bounded(self):
+        # as far as int() reads a literal: 4300 digits by default
+        for text in ("1e4300", "1E-4300", " 2.5e+4300 "):
+            assert RationalMatrix.from_json([[text]]).entries[0][0] > 0
+        for text in ("1e4301", "1e-4301", "1E+3000000", "1e" + "9" * 5000):
+            with pytest.raises(ValueError):
+                RationalMatrix.from_json([[text]])
+
 
 class TestRref:
     def test_pivots(self):

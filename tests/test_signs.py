@@ -138,6 +138,11 @@ class TestDomino:
         with pytest.raises(TypeError):
             Domino.from_json(data)
 
+    def test_json_values_are_a_list(self):
+        # the string "12" read as a container is the domino with values 1, 2
+        with pytest.raises(TypeError, match="expected a list"):
+            Domino.from_json({"n": 3, "index": 2, "values": "12"})
+
     def test_scaled(self):
         d = Domino(5, 2, (1, 3)).scaled(-2)
         assert d.values == (-2, -6) and d.sign == "-"
