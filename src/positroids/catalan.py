@@ -201,6 +201,14 @@ class PathPair:
     def __post_init__(self) -> None:
         _rectangle((self.wu, self.wl))
 
+    @classmethod
+    def _built(cls, wu: str, wl: str) -> "PathPair":
+        """Generator output only, never input: noncrossing by construction."""
+        pair = object.__new__(cls)
+        for name, value in (("wu", wu), ("wl", wl), ("m", 4)):
+            object.__setattr__(pair, name, value)
+        return pair
+
     @property
     def k(self) -> int:
         return self.wu.count("V")
@@ -227,7 +235,7 @@ def enumerate_path_pairs(n: int, k: int) -> Iterator[PathPair]:
     if n < 4 or k < 0 or b < 0:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
     for wu, wl in noncrossing_pairs(k, b):
-        yield PathPair(wu, wl)
+        yield PathPair._built(wu, wl)
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +286,13 @@ class DyckPath:
         if height != 0:
             raise ValueError("path must end on the axis")
 
+    @classmethod
+    def _built(cls, steps: str) -> "DyckPath":
+        """Generator output only, never input: a Dyck word by construction."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
+
     @property
     def n(self) -> int:
         return len(self.steps) // 2 + 3
@@ -324,7 +339,7 @@ def enumerate_dyck_paths(n: int, k: int) -> list[DyckPath]:
     if n < 4 or k < 0 or k > n - 4:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
     want = n - 3 - k
-    return [DyckPath(w) for w in _dyck_words(2 * (n - 3)) if w.count("+-") == want]
+    return [DyckPath._built(w) for w in _dyck_words(2 * (n - 3)) if w.count("+-") == want]
 
 
 def _lp(wu: str, wl: str) -> str:

@@ -51,7 +51,8 @@ class PlabicGraph:
                 raise ValueError(f"bad color {color!r}")
         # the vertex owning each half-edge, and its position in that
         # vertex's rotation (-1 = unlisted)
-        ends = [v for e in self.edges if len(e) == 2 for v in e]
+        # tuples: the GC untracks a tuple of ints, so cached members cost no GC walk
+        ends = tuple(v for e in self.edges if len(e) == 2 for v in e)
         size = len(ends)
         if size != 2 * len(self.edges):
             raise ValueError("every edge must join exactly two ends")
@@ -67,25 +68,19 @@ class PlabicGraph:
         if -1 in pos:
             v = self.vertex_of(pos.index(-1))
             raise ValueError(f"rotation at {v} does not match its half-edges")
-        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_pos", tuple(pos))
         for v in self.colors:
             if v not in self.rotation:
                 raise ValueError(f"internal vertex {v} is isolated")
 
     @classmethod
-    def _built(cls, n, colors, edges, rotation, ends=None, pos=None) -> "PlabicGraph":
+    def _built(cls, n, colors, edges, rotation, ends, pos) -> "PlabicGraph":
         """Surgery output only, never input: built from a valid graph, so valid
-        by construction.  Missing ``ends``/``pos`` come from an unchecked scan."""
+        by construction.  ``ends``/``pos`` are the patched owner and position
+        lists, frozen here."""
         g = object.__new__(cls)
-        if ends is None:
-            ends = [v for e in edges for v in e]
-        if pos is None:
-            pos = [0] * len(ends)
-            for halves in rotation.values():
-                for at, h in enumerate(halves):
-                    pos[h] = at
         for name, value in zip(("n", "colors", "edges", "rotation", "_canon", "_ends", "_pos"),
-                               (n, colors, edges, rotation, None, ends, pos)):
+                               (n, colors, edges, rotation, None, tuple(ends), tuple(pos))):
             object.__setattr__(g, name, value)
         return g
 
@@ -271,14 +266,17 @@ def k_statistic(graph: PlabicGraph) -> int:
 # boundary surgeries
 
 
-def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[list, dict, dict]:
-    """Shift boundary labels above i up by one; returns mutable copies."""
-    edges = list(graph.edges)
+def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[list, dict, dict, list]:
+    """Shift boundary labels above i up by one; returns mutable copies of the
+    edges, rotation, colors and half-edge owners."""
+    edges, ends, rotation = list(graph.edges), list(graph._ends), graph.rotation
     for b in range(i + 1, graph.n + 1):
-        h = graph.rotation[b][0]
-        edges[h >> 1] = _swap_end(edges[h >> 1], h & 1, b + 1)
-    rotation = {v + (v > i): h for v, h in graph.rotation.items()}
-    return edges, rotation, dict(graph.colors)
+        h = rotation[b][0]
+        x, y = edges[h >> 1]
+        edges[h >> 1] = (x, b + 1) if h & 1 else (b + 1, y)
+        ends[h] = b + 1
+    rotation = {v + (v > i): h for v, h in rotation.items()}
+    return edges, rotation, dict(graph.colors), ends
 
 
 def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
@@ -293,27 +291,25 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     if color not in (BLACK, WHITE):
         raise ValueError(f"bad color {color!r}")
     h_i = graph.rotation[i][0]
-    old_edge = h_i // 2
-    edges, rotation, colors = _relabel_boundary(graph, i)
+    h_far, cut = h_i ^ 1, h_i & ~1
+    edges, rotation, colors, ends = _relabel_boundary(graph, i)
     v_new = min([0, *colors]) - 1
     colors[v_new] = color
-    far = edges[old_edge][1 - h_i % 2]
-    base = len(edges)
-    edges.append((far, v_new))
-    edges.append((v_new, i))
-    edges.append((v_new, i + 1))
-    h_far = h_i ^ 1
-    rotation[far] = tuple(2 * base if h == h_far else h for h in rotation[far])
+    far = ends[h_far]
+    # the old boundary edge goes and three edges are appended: later halves
+    # move down by two, so only their owners' rotations are rewritten
+    base = len(edges) - 1
+    for v in {far, *(ends[h] for h in range(cut + 2, len(ends)))}:
+        rotation[v] = tuple(2 * base if h == h_far else h - 2 if h > cut else h
+                            for h in rotation[v])
     rotation[v_new] = (2 * base + 1, 2 * (base + 1), 2 * (base + 2))
     rotation[i] = (2 * (base + 1) + 1,)
     rotation[i + 1] = (2 * (base + 2) + 1,)
-    # drop the old boundary edge: later edges move down one, halves by two
-    del edges[old_edge]
-    rotation = {
-        v: tuple(h - 2 if h > 2 * old_edge else h for h in halves)
-        for v, halves in rotation.items()
-    }
-    return PlabicGraph._built(graph.n + 1, colors, tuple(edges), rotation)
+    del edges[cut >> 1], ends[cut:cut + 2]
+    edges += [(far, v_new), (v_new, i), (v_new, i + 1)]
+    ends += [far, v_new, v_new, i, v_new, i + 1]
+    pos = [*graph._pos[:cut], *graph._pos[cut + 2:], graph._pos[h_far], 0, 1, 0, 2, 0]
+    return PlabicGraph._built(graph.n + 1, colors, tuple(edges), rotation, ends, pos)
 
 
 def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
@@ -333,43 +329,30 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     halves = graph.rotation[v]
     at = graph._pos[h_i ^ 1]
     h_to_e, h_to_f = halves[(at + 1) % 3], halves[(at + 2) % 3]
-    edge_e, edge_f, edge_i = h_to_e // 2, h_to_f // 2, h_i // 2
 
-    edges, rotation, colors = _relabel_boundary(graph, i)
-    del colors[v]
-    del rotation[v]
+    edges, rotation, colors, ends = _relabel_boundary(graph, i)
+    del colors[v], rotation[v]
     low = min([0, *colors]) - 1
     a, b, c, d = low, low - 1, low - 2, low - 3
     colors.update({a: BLACK, b: WHITE, c: BLACK, d: WHITE})
 
-    # rewriting ends in place keeps half-edge ids valid at far endpoints,
-    # so no edge is renumbered
-    edges[edge_e] = _swap_end(edges[edge_e], h_to_e % 2, a)
-    edges[edge_f] = _swap_end(edges[edge_f], h_to_f % 2, b)
-    edges[edge_i] = _swap_end(edges[edge_i], (h_i ^ 1) % 2, c)
+    # the old vertex's three edges get new ends in place, so half-edge ids
+    # are kept and no edge is renumbered: patch the parent's owners and positions
+    for h, w in ((h_to_e, a), (h_to_f, b), (h_i ^ 1, c)):
+        x, y = edges[h >> 1]
+        edges[h >> 1] = (x, w) if h & 1 else (w, y)
+        ends[h] = w
     base = len(edges)
-    edges.append((a, b))
-    edges.append((b, c))
-    edges.append((c, d))
-    edges.append((d, a))
-    edges.append((d, i + 1))
+    edges += [(a, b), (b, c), (c, d), (d, a), (d, i + 1)]
     rotation[a] = (h_to_e, 2 * base, 2 * (base + 3) + 1)
     rotation[b] = (h_to_f, 2 * (base + 1), 2 * base + 1)
     rotation[c] = (2 * (base + 1) + 1, h_i ^ 1, 2 * (base + 2))
     rotation[d] = (2 * (base + 3), 2 * (base + 2) + 1, 2 * (base + 4))
     rotation[i + 1] = (2 * (base + 4) + 1,)
-    # half-edge ids are kept: patch the parent's owners and positions
-    ends = graph._ends + [a, b, b, c, c, d, d, a, d, i + 1]
-    pos = graph._pos + [1, 2, 1, 0, 2, 1, 0, 2, 2, 0]
-    for j in range(i + 1, graph.n + 1):
-        ends[graph.rotation[j][0]] = j + 1
-    ends[h_to_e], ends[h_to_f], ends[h_i ^ 1] = a, b, c
+    ends += [a, b, b, c, c, d, d, a, d, i + 1]
+    pos = [*graph._pos, 1, 2, 1, 0, 2, 1, 0, 2, 2, 0]
     pos[h_to_e], pos[h_to_f], pos[h_i ^ 1] = 0, 0, 1
     return PlabicGraph._built(graph.n + 1, colors, tuple(edges), rotation, ends, pos)
-
-
-def _swap_end(edge: tuple[int, int], side: int, v: int) -> tuple[int, int]:
-    return (edge[0], v) if side else (v, edge[1])
 
 
 # ----------------------------------------------------------------------

@@ -340,6 +340,13 @@ class TestPathPairs:
         with pytest.raises(BadRange):
             list(enumerate_path_pairs(6, 3))
 
+    def test_generated_pairs_pass_the_checked_constructor(self):
+        for n in range(4, 13):
+            for k in range(0, n - 3):
+                for pair in enumerate_path_pairs(n, k):
+                    checked = PathPair(pair.wu, pair.wl)
+                    assert checked == pair and vars(checked) == vars(pair)
+
     def test_json_round_trip(self):
         pair = PathPair("HVHHV", "HVHVH")
         assert PathPair.from_json(pair.to_json()) == pair
@@ -373,6 +380,13 @@ class TestDyckPaths:
     def test_bad_range(self):
         with pytest.raises(BadRange):
             enumerate_dyck_paths(3, 0)
+
+    def test_generated_paths_pass_the_checked_constructor(self):
+        for n in range(4, 13):
+            for k in range(0, n - 3):
+                for path in enumerate_dyck_paths(n, k):
+                    checked = DyckPath(path.steps)
+                    assert checked == path and vars(checked) == vars(path)
 
     def test_json_round_trip(self):
         path = DyckPath(A5)

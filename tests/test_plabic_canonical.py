@@ -6,6 +6,7 @@ neighbor cycle at its least rotation.  Two graphs must agree under the
 canonical form exactly when they agree under the reference.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from positroids import plabic
 from positroids.catalan import BinaryTree, enumerate_trees, tree_to_graph
-from positroids.errors import NotReduced
+from positroids.errors import BadAttachment, NotReduced
 from positroids.permutations import BLACK, WHITE
 from positroids.plabic import (
     PlabicGraph,
@@ -113,6 +114,12 @@ def test_equality_matches_reference_on_raw_children():
     assert duplicates > 0
 
 
+def assert_checked(child: PlabicGraph) -> None:
+    checked = PlabicGraph(child.n, child.colors, child.edges, child.rotation)
+    assert checked._ends == child._ends and checked._pos == child._pos
+    assert checked.canonical_form() == child.canonical_form()
+
+
 def test_surgery_output_passes_the_public_check():
     # split and blow_up build their children without validating them; the
     # validating constructor must accept every one and derive the same
@@ -121,9 +128,72 @@ def test_surgery_output_passes_the_public_check():
     families += [(n, k, 4) for n in range(4, 12) for k in range(2, n - 1)]
     for family in families:
         for g in enumerate_bcfw_graphs(*family):
-            checked = PlabicGraph(g.n, g.colors, g.edges, g.rotation)
-            assert checked._ends == g._ends and checked._pos == g._pos
-            assert checked.canonical_form() == g.canonical_form()
+            assert_checked(g)
+
+
+def renumbering_split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
+    """`split` as first written, kept as an oracle: append the three new
+    edges, then renumber every later half-edge in every rotation."""
+    edges = list(graph.edges)
+    for b in range(i + 1, graph.n + 1):
+        h = graph.rotation[b][0]
+        x, y = edges[h >> 1]
+        edges[h >> 1] = (x, b + 1) if h & 1 else (b + 1, y)
+    rotation = {v + (v > i): h for v, h in graph.rotation.items()}
+    colors = dict(graph.colors)
+    h_i = graph.rotation[i][0]
+    old_edge = h_i // 2
+    v_new = min([0, *colors]) - 1
+    colors[v_new] = color
+    far = edges[old_edge][1 - h_i % 2]
+    base = len(edges)
+    edges += [(far, v_new), (v_new, i), (v_new, i + 1)]
+    rotation[far] = tuple(2 * base if h == h_i ^ 1 else h for h in rotation[far])
+    rotation[v_new] = (2 * base + 1, 2 * (base + 1), 2 * (base + 2))
+    rotation[i] = (2 * (base + 1) + 1,)
+    rotation[i + 1] = (2 * (base + 2) + 1,)
+    del edges[old_edge]
+    rotation = {v: tuple(h - 2 if h > 2 * old_edge else h for h in halves)
+                for v, halves in rotation.items()}
+    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
+
+
+def test_surgeries_at_every_boundary_match_the_checked_constructor():
+    # the family splits only at n-1, where the deleted edge is the last one;
+    # every other boundary moves later half-edges down, and base_bridge's
+    # far end is itself a boundary
+    graphs = [base_bridge()] + [g for family in families_up_to(9)
+                                for g in enumerate_bcfw_graphs(*family)]
+    splits = blow_ups = 0
+    for g in graphs:
+        before = g.to_json(), g._ends, g._pos
+        for i in range(1, g.n + 1):
+            for color in (WHITE, BLACK):
+                child = split(g, i, color)
+                assert_checked(child)
+                oracle = renumbering_split(g, i, color)
+                assert child.edges == oracle.edges and child.colors == oracle.colors
+                assert list(child.rotation.items()) == list(oracle.rotation.items())
+                splits += 1
+            v = g.boundary_neighbor(i)
+            if v < 0 and g.degree(v) == 3:
+                assert_checked(blow_up(g, i))
+                blow_ups += 1
+            else:
+                with pytest.raises(BadAttachment):
+                    blow_up(g, i)
+        assert (g.to_json(), g._ends, g._pos) == before
+    assert splits > 2 * len(graphs) and blow_ups > len(graphs)
+
+
+def test_cached_members_hold_untracked_tuples():
+    # a tuple of ints leaves the collector's tracked set the first time it
+    # survives a collection; a list never does, and every gen-1 and full
+    # collection would walk the cached members' lists again
+    graphs = enumerate_bcfw_graphs(9, 4, 4) + enumerate_bcfw_graphs(9, 4, 2)
+    gc.collect()
+    for g in graphs:
+        assert not gc.is_tracked(g._ends) and not gc.is_tracked(g._pos)
 
 
 def renamed(g: PlabicGraph, rng: random.Random) -> PlabicGraph:
