@@ -411,6 +411,8 @@ def positroid_membership(matrix: RationalMatrix, diagram: OPlusDiagram) -> bool:
     """Nonnegative Plücker vector supported exactly on the diagram's positroid."""
     if (matrix.rows, matrix.cols) != (diagram.k, diagram.n):
         raise ShapeMismatch(f"{matrix.rows}x{matrix.cols} matrix for Gr({diagram.k},{diagram.n})")
+    if math.comb(diagram.n, diagram.k) > _MAX_COORDS:  # refused before any minor
+        raise BadRange(f"C({diagram.n}, {diagram.k}) minors exceed {_MAX_COORDS}")
     point = plucker(matrix)
     if any(x < 0 for x in point.coords):
         return False

@@ -3,8 +3,9 @@
 A graph is stored as a rotation system.  Boundary vertices are 1..n
 clockwise around the disk and always have degree one; internal vertices
 are negative integers carrying a color.  Edge j owns half-edges 2j and
-2j+1, located at edges[j][0] and edges[j][1] respectively, and every
-vertex lists its incident half-edges in clockwise order.
+2j+1, and every vertex lists its incident half-edges in clockwise order.
+The owner of each half-edge, ``_ends``, is the only store of edges:
+``edges`` is a view that reads the pairs (_ends[2j], _ends[2j+1]) off it.
 """
 
 from __future__ import annotations
@@ -32,57 +33,63 @@ from .errors import (
 from .permutations import BLACK, WHITE, DecoratedPermutation
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PlabicGraph:
     n: int
     colors: Mapping[int, str]
-    edges: tuple[tuple[int, int], ...]
     rotation: Mapping[int, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_canon", None)
-        for b in range(1, self.n + 1):
-            if len(self.rotation.get(b, ())) != 1:
+    def __init__(self, n, colors, edges, rotation) -> None:
+        """Checked: edge j joins edges[j][0] (half-edge 2j) to edges[j][1] (half-edge 2j+1)."""
+        for b in range(1, n + 1):
+            if len(rotation.get(b, ())) != 1:
                 raise ValueError(f"boundary vertex {b} must have degree one")
-        for v, color in self.colors.items():
+        for v, color in colors.items():
             if v >= 0:
                 raise ValueError("internal vertices must use negative ids")
             if color not in (BLACK, WHITE):
                 raise ValueError(f"bad color {color!r}")
         # the vertex owning each half-edge, and its position in that
         # vertex's rotation (-1 = unlisted)
-        # tuples: the GC untracks a tuple of ints, so cached members cost no GC walk
-        ends = tuple(v for e in self.edges if len(e) == 2 for v in e)
+        ends = tuple(v for e in edges if len(e) == 2 for v in e)
         size = len(ends)
-        if size != 2 * len(self.edges):
+        if size != 2 * len(edges):
             raise ValueError("every edge must join exactly two ends")
-        object.__setattr__(self, "_ends", ends)
         pos = [-1] * size
-        for v, halves in self.rotation.items():
-            if not (1 <= v <= self.n or v in self.colors):
+        for v, halves in rotation.items():
+            if not (1 <= v <= n or v in colors):
                 raise ValueError(f"vertex {v} is neither boundary nor colored")
             for at, h in enumerate(halves):
                 if not 0 <= h < size or pos[h] >= 0 or ends[h] != v:
                     raise ValueError(f"rotation at {v} does not match its half-edges")
                 pos[h] = at
         if -1 in pos:
-            v = self.vertex_of(pos.index(-1))
-            raise ValueError(f"rotation at {v} does not match its half-edges")
-        object.__setattr__(self, "_pos", tuple(pos))
-        for v in self.colors:
-            if v not in self.rotation:
+            raise ValueError(f"rotation at {ends[pos.index(-1)]} does not match its half-edges")
+        for v in colors:
+            if v not in rotation:
                 raise ValueError(f"internal vertex {v} is isolated")
+        self._store(n, colors, rotation, ends, pos)
 
     @classmethod
-    def _built(cls, n, colors, edges, rotation, ends, pos) -> "PlabicGraph":
+    def _built(cls, n, colors, rotation, ends, pos) -> "PlabicGraph":
         """Surgery output only, never input: built from a valid graph, so valid
-        by construction.  ``ends``/``pos`` are the patched owner and position
-        lists, frozen here."""
+        by construction.  ``ends``/``pos`` are the patched half-edge owners
+        (the edges themselves) and positions."""
         g = object.__new__(cls)
-        for name, value in zip(("n", "colors", "edges", "rotation", "_canon", "_ends", "_pos"),
-                               (n, colors, edges, rotation, None, tuple(ends), tuple(pos))):
-            object.__setattr__(g, name, value)
+        g._store(n, colors, rotation, ends, pos)
         return g
+
+    def _store(self, n, colors, rotation, ends, pos) -> None:
+        # tuples: the GC untracks a tuple of ints, so cached members cost no GC walk
+        for name, value in zip(("n", "colors", "rotation", "_canon", "_ends", "_pos"),
+                               (n, colors, rotation, None, tuple(ends), tuple(pos))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edge j as the owners of half-edges 2j and 2j+1: read off ``_ends``, never kept."""
+        ends = self._ends
+        return tuple(zip(ends[::2], ends[1::2]))
 
     # ------------------------------------------------------------------
     # structure
@@ -172,21 +179,13 @@ class PlabicGraph:
     ) -> "PlabicGraph":
         """Build from clockwise neighbor lists.  No parallel edges."""
         edges: list[tuple[int, int]] = []
-        index: dict[tuple[int, int], int] = {}
+        half: dict[tuple[int, int], int] = {}  # half[v, u]: v's half-edge of the edge vu
         for v in sorted(adjacency):
             for u in adjacency[v]:
-                if (u, v) not in index:
-                    index[(v, u)] = len(edges)
+                if (v, u) not in half:
+                    half[v, u], half[u, v] = 2 * len(edges), 2 * len(edges) + 1
                     edges.append((v, u))
-        rotation = {}
-        for v, nbrs in adjacency.items():
-            halves = []
-            for u in nbrs:
-                if (v, u) in index:
-                    halves.append(2 * index[(v, u)])
-                else:
-                    halves.append(2 * index[(u, v)] + 1)
-            rotation[v] = tuple(halves)
+        rotation = {v: tuple(half[v, u] for u in nbrs) for v, nbrs in adjacency.items()}
         return cls(n, dict(colors), tuple(edges), rotation)
 
     def to_json(self) -> dict:
@@ -259,24 +258,22 @@ def k_statistic(graph: PlabicGraph) -> int:
         graph.degree(v) - 1 for v, c in graph.colors.items() if c == WHITE
     )
     blacks = sum(1 for c in graph.colors.values() if c == BLACK)
-    return len(graph.edges) - blacks - white_excess
+    return len(graph._ends) // 2 - blacks - white_excess
 
 
 # ----------------------------------------------------------------------
 # boundary surgeries
 
 
-def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[list, dict, dict, list]:
+def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[dict, dict, list]:
     """Shift boundary labels above i up by one; returns mutable copies of the
-    edges, rotation, colors and half-edge owners."""
-    edges, ends, rotation = list(graph.edges), list(graph._ends), graph.rotation
+    rotation, colors and half-edge owners.  The owners are the graph's only
+    edge store, so relabelling patches one owner per shifted boundary."""
+    ends, rotation = list(graph._ends), graph.rotation
     for b in range(i + 1, graph.n + 1):
-        h = rotation[b][0]
-        x, y = edges[h >> 1]
-        edges[h >> 1] = (x, b + 1) if h & 1 else (b + 1, y)
-        ends[h] = b + 1
+        ends[rotation[b][0]] = b + 1
     rotation = {v + (v > i): h for v, h in rotation.items()}
-    return edges, rotation, dict(graph.colors), ends
+    return rotation, dict(graph.colors), ends
 
 
 def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
@@ -292,24 +289,23 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
         raise ValueError(f"bad color {color!r}")
     h_i = graph.rotation[i][0]
     h_far, cut = h_i ^ 1, h_i & ~1
-    edges, rotation, colors, ends = _relabel_boundary(graph, i)
+    rotation, colors, ends = _relabel_boundary(graph, i)
     v_new = min([0, *colors]) - 1
     colors[v_new] = color
     far = ends[h_far]
     # the old boundary edge goes and three edges are appended: later halves
     # move down by two, so only their owners' rotations are rewritten
-    base = len(edges) - 1
+    base = len(ends) // 2 - 1
     for v in {far, *(ends[h] for h in range(cut + 2, len(ends)))}:
         rotation[v] = tuple(2 * base if h == h_far else h - 2 if h > cut else h
                             for h in rotation[v])
     rotation[v_new] = (2 * base + 1, 2 * (base + 1), 2 * (base + 2))
     rotation[i] = (2 * (base + 1) + 1,)
     rotation[i + 1] = (2 * (base + 2) + 1,)
-    del edges[cut >> 1], ends[cut:cut + 2]
-    edges += [(far, v_new), (v_new, i), (v_new, i + 1)]
+    del ends[cut:cut + 2]
     ends += [far, v_new, v_new, i, v_new, i + 1]
     pos = [*graph._pos[:cut], *graph._pos[cut + 2:], graph._pos[h_far], 0, 1, 0, 2, 0]
-    return PlabicGraph._built(graph.n + 1, colors, tuple(edges), rotation, ends, pos)
+    return PlabicGraph._built(graph.n + 1, colors, rotation, ends, pos)
 
 
 def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
@@ -330,7 +326,7 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     at = graph._pos[h_i ^ 1]
     h_to_e, h_to_f = halves[(at + 1) % 3], halves[(at + 2) % 3]
 
-    edges, rotation, colors, ends = _relabel_boundary(graph, i)
+    rotation, colors, ends = _relabel_boundary(graph, i)
     del colors[v], rotation[v]
     low = min([0, *colors]) - 1
     a, b, c, d = low, low - 1, low - 2, low - 3
@@ -338,12 +334,8 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
 
     # the old vertex's three edges get new ends in place, so half-edge ids
     # are kept and no edge is renumbered: patch the parent's owners and positions
-    for h, w in ((h_to_e, a), (h_to_f, b), (h_i ^ 1, c)):
-        x, y = edges[h >> 1]
-        edges[h >> 1] = (x, w) if h & 1 else (w, y)
-        ends[h] = w
-    base = len(edges)
-    edges += [(a, b), (b, c), (c, d), (d, a), (d, i + 1)]
+    ends[h_to_e], ends[h_to_f], ends[h_i ^ 1] = a, b, c
+    base = len(ends) // 2
     rotation[a] = (h_to_e, 2 * base, 2 * (base + 3) + 1)
     rotation[b] = (h_to_f, 2 * (base + 1), 2 * base + 1)
     rotation[c] = (2 * (base + 1) + 1, h_i ^ 1, 2 * (base + 2))
@@ -352,7 +344,7 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     ends += [a, b, b, c, c, d, d, a, d, i + 1]
     pos = [*graph._pos, 1, 2, 1, 0, 2, 1, 0, 2, 2, 0]
     pos[h_to_e], pos[h_to_f], pos[h_i ^ 1] = 0, 0, 1
-    return PlabicGraph._built(graph.n + 1, colors, tuple(edges), rotation, ends, pos)
+    return PlabicGraph._built(graph.n + 1, colors, rotation, ends, pos)
 
 
 # ----------------------------------------------------------------------

@@ -397,6 +397,27 @@ class TestUsage:
         assert code == 2 and text == ""
         assert "11x22 matrix for Gr(1,22)" in capsys.readouterr().err
 
+    def test_membership_minor_count_capped(self, capsys):
+        # a 13x26 matrix for a Gr(13,26) diagram: C(26,13) = 10,400,600 minors, twice
+        payload = json.dumps({
+            "diagram": {"k": 13, "n": 26, "shape": [13] * 13, "rows": ["+" * 13] * 13},
+            "matrix": [[str((i + 1) ** j) for j in range(26)] for i in range(13)],
+        })
+        start = time.perf_counter()
+        code, text = invoke(["verify", "--kind", "membership"], payload)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "C(26, 13) minors exceed" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("row, want", [(["1", "2", "3"], 0), (["1", "0", "3"], 1),
+                                           (["1", "-2", "3"], 1)])
+    def test_small_membership_under_the_cap(self, row, want):
+        payload = json.dumps({"diagram": {"k": 1, "n": 3, "shape": [2], "rows": ["++"]},
+                              "matrix": [row]})
+        assert invoke(["verify", "--kind", "membership"], payload) == (
+            want, json.dumps({"member": want == 0}) + "\n")
+
     def test_huge_decimal_exponent_refused(self, capsys):
         # Fraction would build the power of ten first: seconds for "1e3000000"
         def member(entry):

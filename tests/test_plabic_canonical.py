@@ -158,6 +158,43 @@ def renumbering_split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
 
 
+def reference_blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
+    """`blow_up` on edge pairs, kept as an oracle: the old vertex's three
+    edges end at the square's corners instead, the square's five edges are
+    appended, and the checked constructor derives the half-edge owners."""
+    edges = list(graph.edges)
+    for b in range(i + 1, graph.n + 1):
+        h = graph.rotation[b][0]
+        x, y = edges[h >> 1]
+        edges[h >> 1] = (x, b + 1) if h & 1 else (b + 1, y)
+    rotation = {v + (v > i): h for v, h in graph.rotation.items()}
+    colors = dict(graph.colors)
+    h_i = graph.rotation[i][0]
+    v = graph.boundary_neighbor(i)
+    halves = graph.rotation[v]
+    at = halves.index(h_i ^ 1)
+    h_e, h_f = halves[(at + 1) % 3], halves[(at + 2) % 3]
+    del colors[v], rotation[v]
+    low = min([0, *colors]) - 1
+    a, b, c, d = low, low - 1, low - 2, low - 3
+    colors.update({a: BLACK, b: WHITE, c: BLACK, d: WHITE})
+    for h, w in ((h_e, a), (h_f, b), (h_i ^ 1, c)):
+        x, y = edges[h >> 1]
+        edges[h >> 1] = (x, w) if h & 1 else (w, y)
+    square = [(a, b), (b, c), (c, d), (d, a), (d, i + 1)]
+    half = {}  # half[x, y]: the half-edge of edge xy at x
+    for j, (x, y) in enumerate(square, len(edges)):
+        half[x, y], half[y, x] = 2 * j, 2 * j + 1
+    edges += square
+    # clockwise: a toward e, b toward f, c at boundary i, d at boundary i+1
+    rotation[a] = (h_e, half[a, b], half[a, d])
+    rotation[b] = (h_f, half[b, c], half[b, a])
+    rotation[c] = (half[c, b], h_i ^ 1, half[c, d])
+    rotation[d] = (half[d, a], half[d, c], half[d, i + 1])
+    rotation[i + 1] = (half[i + 1, d],)
+    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
+
+
 def test_surgeries_at_every_boundary_match_the_checked_constructor():
     # the family splits only at n-1, where the deleted edge is the last one;
     # every other boundary moves later half-edges down, and base_bridge's
@@ -177,7 +214,11 @@ def test_surgeries_at_every_boundary_match_the_checked_constructor():
                 splits += 1
             v = g.boundary_neighbor(i)
             if v < 0 and g.degree(v) == 3:
-                assert_checked(blow_up(g, i))
+                child = blow_up(g, i)
+                assert_checked(child)
+                oracle = reference_blow_up(g, i)
+                assert child.edges == oracle.edges and child.colors == oracle.colors
+                assert list(child.rotation.items()) == list(oracle.rotation.items())
                 blow_ups += 1
             else:
                 with pytest.raises(BadAttachment):
@@ -194,6 +235,19 @@ def test_cached_members_hold_untracked_tuples():
     gc.collect()
     for g in graphs:
         assert not gc.is_tracked(g._ends) and not gc.is_tracked(g._pos)
+
+
+def test_cached_members_store_no_edge_pairs():
+    # the half-edge owners are the only edge store; `edges` is read off them
+    def is_pairs(x):
+        return isinstance(x, tuple) and x != () and all(
+            isinstance(e, tuple) and len(e) == 2 for e in x)
+
+    graphs = enumerate_bcfw_graphs(9, 4, 4) + enumerate_bcfw_graphs(9, 4, 2)
+    for g in graphs:
+        assert not any(map(is_pairs, gc.get_referents(g)))
+        assert not any(map(is_pairs, vars(g).values()))
+        assert g.edges == PlabicGraph.from_json(g.to_json()).edges
 
 
 def renamed(g: PlabicGraph, rng: random.Random) -> PlabicGraph:
