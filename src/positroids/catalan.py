@@ -1,7 +1,9 @@
 """Binary trees, lattice-path pairs, Dyck paths, and plane partitions.
 
 Four Catalan-family indexings of the same cell collection, with the
-bijections among them and down to plabic graphs and diagrams.  Path
+bijections among them and down to plabic graphs and diagrams.  Trees and
+Dyck paths come from one word recursion, which builds only the words with
+the peak count asked for (a tree's peaks are its horizontal leaves).  Path
 words are read from the northeast corner: H steps west, V steps south;
 their shapes come from ``diagrams``.  The closed forms that count the
 families (Narayana, MacMahon) are computed on integers only.
@@ -101,31 +103,21 @@ _LEAF = BinaryTree()
 
 
 @lru_cache(maxsize=None)
-def _tree_shapes(leaves: int) -> tuple[BinaryTree, ...]:
-    if leaves == 1:
-        return (_LEAF,)
-    out = []
-    for left in range(1, leaves):
-        for h in _tree_shapes(left):
-            for v in _tree_shapes(leaves - left):
-                out.append(BinaryTree(h, v))
-    return tuple(out)
+def _tree_shapes(word: str) -> BinaryTree:
+    """The tree of a Dyck word: "+" a "-" b is (tree(a), tree(b)), "" a leaf."""
+    height = 0
+    for at, step in enumerate(word):
+        height += 1 if step == "+" else -1
+        if not height:  # the "-" that closes a
+            return BinaryTree(_tree_shapes(word[1:at]), _tree_shapes(word[at + 1:]))
+    return _LEAF
 
 
 def enumerate_trees(n: int, k: int) -> list[BinaryTree]:
     """All trees with n-2 leaves of which exactly k+1 are horizontal children."""
     if n < 4 or k < 0 or k > n - 4:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
-    return list(_shapes_by_horizontal_leaves(n - 2).get(k + 1, ()))
-
-
-@lru_cache(maxsize=None)
-def _shapes_by_horizontal_leaves(leaves: int) -> dict[int, tuple[BinaryTree, ...]]:
-    """The shapes with the given leaf count, grouped by horizontal leaves."""
-    buckets: dict[int, list[BinaryTree]] = {}
-    for t in _tree_shapes(leaves):
-        buckets.setdefault(t.horizontal_leaf_count(), []).append(t)
-    return {h: tuple(ts) for h, ts in buckets.items()}
+    return [_tree_shapes(w) for w in _dyck_words(n - 3, frozenset((k + 1,)))[0]]
 
 
 def _collapse_first(tree: BinaryTree) -> tuple[BinaryTree, int]:
@@ -323,23 +315,30 @@ class DyckPath:
 
 
 @lru_cache(maxsize=None)
-def _dyck_words(length: int) -> tuple[str, ...]:
-    if length == 0:
-        return ("",)
-    out = []
-    for inner in range(0, length - 1, 2):
-        for a in _dyck_words(inner):
-            for b in _dyck_words(length - 2 - inner):
-                out.append("+" + a + "-" + b)
-    return tuple(out)
+def _dyck_words(semilength: int,
+                peaks: frozenset[int]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Words "+" a "-" b with a peak count in ``peaks``, and their counts, by
+    len(a), then a, then b; each side gets only counts the other can complete."""
+    if semilength == 0:
+        return (("",), (0,)) if 0 in peaks else ((), ())
+    words, counts = [], []
+    for inner in range(semilength):
+        rest = semilength - 1 - inner
+        lift = inner == 0  # the "+-" of an empty a is a peak
+        tails = frozenset(range(rest > 0, rest + 1))  # every peak count b can have
+        heads = {p - q - lift for p in peaks for q in tails}
+        for a, pa in zip(*_dyck_words(inner, frozenset(range(inner > 0, inner + 1)) & heads)):
+            for b, pb in zip(*_dyck_words(rest, tails & {p - pa - lift for p in peaks})):
+                words.append("+" + a + "-" + b)
+                counts.append(pa + lift + pb)
+    return tuple(words), tuple(counts)
 
 
 def enumerate_dyck_paths(n: int, k: int) -> list[DyckPath]:
     """All Dyck paths of length 2(n-3) with n-3-k peaks."""
     if n < 4 or k < 0 or k > n - 4:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
-    want = n - 3 - k
-    return [DyckPath._built(w) for w in _dyck_words(2 * (n - 3)) if w.count("+-") == want]
+    return [DyckPath._built(w) for w in _dyck_words(n - 3, frozenset((n - 3 - k,)))[0]]
 
 
 def _lp(wu: str, wl: str) -> str:

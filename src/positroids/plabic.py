@@ -375,7 +375,8 @@ def base_square() -> PlabicGraph:
 
 
 _FAMILY_CACHE: dict[tuple[int, int, int], tuple[PlabicGraph, ...]] = {}
-# the tree word of each m=4 family member, in family order (see _family)
+# the tree word of each m=4 family member, in family order (see _family):
+# its catalan Dyck word with "+" as "1", "-" as "0", and a trailing "0"
 _TREE_WORDS: dict[tuple[int, int], tuple[str, ...]] = {}
 # the unshifted trip images of each family member, in family order
 _TRIPS: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}

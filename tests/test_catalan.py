@@ -74,6 +74,25 @@ def all_trees(leaves: int) -> list:
     ]
 
 
+def all_dyck_words(length: int) -> list:
+    """Every Dyck word "+" a "-" b: length of a, then a, then b."""
+    if length == 0:
+        return [""]
+    return [
+        "+" + a + "-" + b
+        for inner in range(0, length - 1, 2)
+        for a in all_dyck_words(inner)
+        for b in all_dyck_words(length - 2 - inner)
+    ]
+
+
+def tree_word(t: BinaryTree) -> str:
+    """The Dyck word of a tree: "+", horizontal child, "-", vertical child."""
+    if t.is_leaf:
+        return ""
+    return "+" + tree_word(t.horizontal) + "-" + tree_word(t.vertical)
+
+
 def horizontal_leaves(t: BinaryTree) -> int:
     """Leaves that are the horizontal child of their parent."""
     if t.is_leaf:
@@ -189,11 +208,19 @@ class TestTrees:
             enumerate_trees(n, k)
 
     def test_order_matches_filtered_shapes(self):
-        for n in range(4, 12):
+        for n in range(4, 14):
             shapes = all_trees(n - 2)
             for k in range(0, n - 3):
                 expected = [t for t in shapes if horizontal_leaves(t) == k + 1]
                 assert enumerate_trees(n, k) == expected
+
+    def test_words_are_the_dyck_words_at_the_complementary_k(self):
+        # peaks are horizontal leaves: k+1 of them for a tree, n-3-k' for a path
+        for n in range(4, 14):
+            for k in range(0, n - 3):
+                words = [tree_word(t) for t in enumerate_trees(n, k)]
+                assert words == [p.steps for p in enumerate_dyck_paths(n, n - 4 - k)]
+                assert all(w.count("+-") == k + 1 for w in words)
 
     def test_json_round_trip(self):
         for k in range(0, 4):
@@ -380,6 +407,13 @@ class TestDyckPaths:
     def test_bad_range(self):
         with pytest.raises(BadRange):
             enumerate_dyck_paths(3, 0)
+
+    def test_order_matches_filtered_words(self):
+        for n in range(4, 14):
+            words = all_dyck_words(2 * (n - 3))
+            for k in range(0, n - 3):
+                expected = [w for w in words if w.count("+-") == n - 3 - k]
+                assert [p.steps for p in enumerate_dyck_paths(n, k)] == expected
 
     def test_generated_paths_pass_the_checked_constructor(self):
         for n in range(4, 13):

@@ -51,6 +51,13 @@ class TestEnumerate:
         assert code == 0
         assert len(json.loads(text)) == narayana(4, 2)
 
+    @pytest.mark.parametrize("kind, n, k", [("tree", 30, 0), ("dyck", 60, 56)])
+    def test_one_member_of_a_large_family(self, kind, n, k):
+        # one member each (N(27, 1) = N(57, 57) = 1): the cost follows the output
+        code, text = invoke(["enumerate", "--kind", kind, "--n", str(n), "--k", str(k)])
+        assert code == 0
+        assert len(json.loads(text)) == 1
+
     def test_permutation_kind(self):
         code, text = invoke(["enumerate", "--kind", "permutation",
                              "--n", "6", "--k", "1", "--m", "4"])
