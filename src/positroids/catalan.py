@@ -1,12 +1,15 @@
 """Binary trees, lattice-path pairs, Dyck paths, and plane partitions.
 
 Four Catalan-family indexings of the same cell collection, with the
-bijections among them and down to plabic graphs and diagrams.  Trees and
-Dyck paths come from one word recursion, which builds only the words with
-the peak count asked for (a tree's peaks are its horizontal leaves).  Path
-words are read from the northeast corner: H steps west, V steps south;
-their shapes come from ``diagrams``.  The closed forms that count the
-families (Narayana, MacMahon) are computed on integers only.
+bijections among them and down to plabic graphs and diagrams.  Trees,
+Dyck paths and the order of the m=4 graph family come from one Dyck-word
+recursion: a tree's word is "+", its horizontal child's, "-", its vertical
+child's, and its peaks are its horizontal leaves.  The generator builds only
+the words with the peak count asked for, and the family plan says which
+blow-up of which parent makes each member's word.  Path words are read
+from the northeast corner: H steps west, V steps south; their shapes come
+from ``diagrams``.  The closed forms that count the families (Narayana,
+MacMahon) are computed on integers only.
 """
 
 from __future__ import annotations
@@ -49,18 +52,11 @@ class BinaryTree:
         return self.horizontal is None
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.horizontal.leaf_count() + self.vertical.leaf_count()
+        return _dyck_word(self).count("-") + 1
 
     def horizontal_leaf_count(self) -> int:
-        """Number of leaves that are horizontal children."""
-        if self.is_leaf:
-            return 0
-        total = 1 if self.horizontal.is_leaf else self.horizontal.horizontal_leaf_count()
-        if not self.vertical.is_leaf:
-            total += self.vertical.horizontal_leaf_count()
-        return total
+        """Number of leaves that are horizontal children: its Dyck word's peaks."""
+        return _dyck_word(self).count("+-")
 
     @property
     def n(self) -> int:
@@ -120,22 +116,11 @@ def enumerate_trees(n: int, k: int) -> list[BinaryTree]:
     return [_tree_shapes(w) for w in _dyck_words(n - 3, frozenset((k + 1,)))[0]]
 
 
-def _collapse_first(tree: BinaryTree) -> tuple[BinaryTree, int]:
-    """Leaf the first internal node (depth-first, horizontal child first)
-    whose children are both leaves; return the new tree and the label of
-    the collapsed node's horizontal leaf."""
-
-    def rec(t: BinaryTree, counter: int) -> tuple[BinaryTree, int]:
-        if t.horizontal.is_leaf and t.vertical.is_leaf:
-            return _LEAF, counter
-        if not t.horizontal.is_leaf:
-            sub, i = rec(t.horizontal, counter)
-            return BinaryTree(sub, t.vertical), i
-        # horizontal child is a leaf and eats one label
-        sub, i = rec(t.vertical, counter + 1)
-        return BinaryTree(t.horizontal, sub), i
-
-    return rec(tree, 2)
+def _dyck_word(tree: BinaryTree) -> str:
+    """A tree's word: "+", its horizontal child's word, "-", its vertical child's."""
+    if tree.is_leaf:
+        return ""
+    return "+" + _dyck_word(tree.horizontal) + "-" + _dyck_word(tree.vertical)
 
 
 def tree_to_graph(tree: BinaryTree) -> PlabicGraph:
@@ -144,11 +129,15 @@ def tree_to_graph(tree: BinaryTree) -> PlabicGraph:
     from .plabic import base_square, blow_up
     if tree.is_leaf:
         raise BadRange("a bare leaf corresponds to no graph")
-    ops = []
-    t = tree
-    while not (t.horizontal.is_leaf and t.vertical.is_leaf):
-        t, i = _collapse_first(t)
-        ops.append(i)
+    # collapse the first cherry, a "+-" not followed by "+", until one is
+    # left; its horizontal leaf is the boundary 2 + (leaves before it)
+    word, ops = _dyck_word(tree), []
+    while word != "+-":
+        at = word.find("+-")
+        while word.startswith("+", at + 2):
+            at = word.find("+-", at + 2)
+        ops.append(2 + word.count("-", 0, at))
+        word = word[:at] + word[at + 2:]
     g = base_square()
     for i in reversed(ops):
         g = blow_up(g, i)
@@ -332,6 +321,32 @@ def _dyck_words(semilength: int,
                 words.append("+" + a + "-" + b)
                 counts.append(pa + lift + pb)
     return tuple(words), tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def _family_plan(n: int, k: int) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+    """The m=4 graph family's tree words in family order, and the blow-up
+    (parent k, parent index, boundary i) that makes each past the base.
+
+    Blowing up i puts "+-" before leaf i: the (i-1)-th "-", or the end.  A
+    parent from k blows up its peaks (their boundaries hang on black
+    vertices), one from k-1 its other leaves (on white); of the commuting
+    blow-ups that reach one word, only the first is kept."""
+    if n == 4:
+        return ("+-",) if k == 2 else (), ()
+    words, steps, known = [], [], set()
+    for kk, peak in ((k, True), (k - 1, False)):
+        if 2 <= kk <= n - 3:
+            for j, word in enumerate(_family_plan(n - 1, kk)[0]):
+                leaves = [p for p, step in enumerate(word) if step == "-"] + [len(word)]
+                for i, p in enumerate(leaves, 2):
+                    if (word[p - 1] == "+") == peak:
+                        child = word[:p] + "+-" + word[p:]
+                        if child not in known:
+                            known.add(child)
+                            words.append(child)
+                            steps.append((kk, j, i))
+    return tuple(words), tuple(steps)
 
 
 def enumerate_dyck_paths(n: int, k: int) -> list[DyckPath]:

@@ -128,6 +128,11 @@ def _read_json(stdin: TextIO):
     return json.load(stdin, parse_constant=refuse, object_pairs_hook=unique)
 
 
+def _write_json(out: TextIO, obj) -> None:
+    # json.dumps runs the C encoder; json.dump walks obj in Python, a write per token
+    out.write(json.dumps(obj) + "\n")
+
+
 def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     kind = args.kind
     if kind == "pathtuple":
@@ -137,8 +142,8 @@ def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         _require(args, "n", "k")
         objects = _FAMILIES[kind][0](args.n, args.k, args.m)
     if args.format == "json":
-        json.dump([o.to_json() for o in objects], out)
-        out.write("\n")
+        # one object at a time: the bytes of one json.dumps of the whole list
+        out.write("[" + ", ".join(json.dumps(o.to_json()) for o in objects) + "]\n")
     elif args.format == "tsv":
         for o in objects:
             out.write(json.dumps(o.to_json(), sort_keys=True) + "\n")
@@ -157,8 +162,7 @@ def _cmd_convert(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         raise BadRange(f"no conversion {args.source} -> {args.target}; "
                        f"supported: {supported}")
     obj = _KINDS[args.source](_read_json(stdin), args.m)
-    json.dump(arrow(obj, args).to_json(), out)
-    out.write("\n")
+    _write_json(out, arrow(obj, args).to_json())
     return 0
 
 
@@ -180,8 +184,7 @@ def _cmd_sample(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         rngs = (linalg._sample_seed(args.seed, ci, s) for s in range(args.count))
         draws = [point.to_json() for point in linalg._cell_samples(cell, rngs)]
         result.append({"cell": ci, "diagram": cells[ci].to_json(), "samples": draws})
-    json.dump(result, out)
-    out.write("\n")
+    _write_json(out, result)
     return 0
 
 
@@ -190,14 +193,13 @@ def _cmd_verify(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     diagrams = _mod("diagrams")
     if args.kind == "diagram":
         ok = diagrams.is_le_diagram(diagrams.OPlusDiagram.from_json(data))
-        json.dump({"le": ok}, out)
+        _write_json(out, {"le": ok})
     else:
         diagram = diagrams.le_normalize(diagrams.OPlusDiagram.from_json(data["diagram"]))
         linalg = _mod("linalg")
         matrix = linalg.RationalMatrix.from_json(data["matrix"], cols=diagram.n)  # [] has no width
         ok = linalg.positroid_membership(matrix, diagram)
-        json.dump({"member": ok}, out)
-    out.write("\n")
+        _write_json(out, {"member": ok})
     return 0 if ok else 1
 
 
@@ -217,8 +219,7 @@ def _cmd_experiment(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int
     if args.format == "tsv":
         out.write(report.to_tsv())
     else:
-        json.dump(report.to_json(), out)
-        out.write("\n")
+        _write_json(out, report.to_json())
     return 1 if report.verdict == "violation" else 0
 
 

@@ -15,7 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Mapping, Sequence
 
 from .diagrams import OPlusDiagram, is_le_diagram
@@ -375,9 +374,6 @@ def base_square() -> PlabicGraph:
 
 
 _FAMILY_CACHE: dict[tuple[int, int, int], tuple[PlabicGraph, ...]] = {}
-# the tree word of each m=4 family member, in family order (see _family):
-# its catalan Dyck word with "+" as "1", "-" as "0", and a trailing "0"
-_TREE_WORDS: dict[tuple[int, int], tuple[str, ...]] = {}
 # the unshifted trip images of each family member, in family order
 _TRIPS: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
@@ -404,11 +400,12 @@ def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
     # No graph is compared here: members are distinct by construction.  An
     # m=2 member is named by its split word (boundary n sits on the last
     # split's vertex, which folds back to the parent; Pascal's rule on the
-    # C(n-2, k-1) words), an m=4 member by its tree word, built once.  Its
+    # C(n-2, k-1) words).  An m=4 member is the blow-up that catalan's
+    # `_family_plan` hands over for its tree word: parent and boundary.  Its
     # trips come from its parent's by the surgery's rule (`bcfw_permutations`).
     key = (n, k, m)
     if key not in _FAMILY_CACHE:
-        out, words, trips = [], [], []  # members, m=4 tree words, trip images
+        out, trips = [], []  # members, trip images
         if m == 2:
             if n == 2 and k == 1:
                 out, trips = [base_bridge()], [(2, 1)]
@@ -417,32 +414,15 @@ def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
                     out += [split(g, n - 1, color) for g in _family(n - 1, kk, 2)]
                     trips += [_child_trips(t, n - 1, color) for t in _TRIPS[n - 1, kk, 2]]
         else:
-            # Each member carries its binary tree's word: nodes in preorder,
-            # horizontal child first, "1" internal and "0" leaf, so the j-th
-            # "0" (from 0) is leaf j+2.  Blowing up boundary i turns leaf i
-            # into a cherry, "0" -> "100".  Commuting blow-ups reach the same
-            # word, and only its first construction is built.
+            from .catalan import _family_plan  # on first use: only m=4 needs it
             if n == 4 and k == 2:
-                out, words, trips = [base_square()], ["100"], [(3, 4, 1, 2)]
-            parents = []
-            for kk, want in ((k, BLACK), (k - 1, WHITE)):
-                if 2 <= kk <= n - 3:
-                    parents += zip(_family(n - 1, kk, 4), _TREE_WORDS[n - 1, kk],
-                                   _TRIPS[n - 1, kk, 4], repeat(want))
-            known: set[str] = set()
-            for g, word, images, want in parents:
-                leaves = [p for p, bit in enumerate(word) if bit == "0"]
-                for i in range(2, n - 1):
-                    anchor = g.boundary_neighbor(i)
-                    if anchor < 0 and g.colors[anchor] == want:
-                        at = leaves[i - 2]
-                        child_word = word[:at] + "100" + word[at + 1:]
-                        if child_word not in known:
-                            known.add(child_word)
-                            out.append(child := blow_up(g, i))
-                            words.append(child_word)
-                            trips.append(_child_trips(images, i, want, child))
-            _TREE_WORDS[n, k] = tuple(words)
+                out, trips = [base_square()], [(3, 4, 1, 2)]
+            parents = {kk: (_family(n - 1, kk, 4), _TRIPS[n - 1, kk, 4])
+                       for kk in (k, k - 1) if 2 <= kk <= n - 3}
+            for kk, j, i in _family_plan(n, k)[1]:
+                graphs, images = parents[kk]
+                out.append(child := blow_up(graphs[j], i))
+                trips.append(_child_trips(images[j], i, BLACK if kk == k else WHITE, child))
         _FAMILY_CACHE[key], _TRIPS[key] = tuple(out), tuple(trips)
     return _FAMILY_CACHE[key]
 

@@ -239,7 +239,43 @@ class TestTrees:
         assert str(TREE_6) == "((* *) (* *))"
 
 
+def collapse_first(tree: BinaryTree) -> tuple[BinaryTree, int]:
+    """Leaf the first internal node (depth-first, horizontal child first)
+    whose children are both leaves; return the new tree and the label of
+    the collapsed node's horizontal leaf.  The former tree_to_graph step."""
+
+    def rec(t: BinaryTree, counter: int) -> tuple[BinaryTree, int]:
+        if t.horizontal.is_leaf and t.vertical.is_leaf:
+            return LEAF, counter
+        if not t.horizontal.is_leaf:
+            sub, i = rec(t.horizontal, counter)
+            return BinaryTree(sub, t.vertical), i
+        # horizontal child is a leaf and eats one label
+        sub, i = rec(t.vertical, counter + 1)
+        return BinaryTree(t.horizontal, sub), i
+
+    return rec(tree, 2)
+
+
+def collapse_tree_to_graph(tree: BinaryTree):
+    ops = []
+    while not (tree.horizontal.is_leaf and tree.vertical.is_leaf):
+        tree, i = collapse_first(tree)
+        ops.append(i)
+    g = base_square()
+    for i in reversed(ops):
+        g = blow_up(g, i)
+    return g
+
+
 class TestTreeToGraph:
+    def test_matches_the_tree_collapse(self):
+        # the blow-ups read off the Dyck word against the recursion on nodes
+        trees = [t for n in range(4, 12) for k in range(n - 3) for t in enumerate_trees(n, k)]
+        assert len(trees) == 2055
+        for t in trees:
+            assert tree_to_graph(t).to_json() == collapse_tree_to_graph(t).to_json()
+
     def test_base(self):
         assert tree_to_graph(BinaryTree(LEAF, LEAF)) == base_square()
 

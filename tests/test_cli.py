@@ -58,6 +58,18 @@ class TestEnumerate:
         assert code == 0
         assert len(json.loads(text)) == 1
 
+    @pytest.mark.parametrize("argv, family", [
+        ("--kind tree --n 9 --k 2", lambda: enumerate_trees(9, 2)),
+        ("--kind dyck --n 9 --k 2", lambda: enumerate_dyck_paths(9, 2)),
+        ("--kind graph --n 9 --k 4 --m 4", lambda: enumerate_bcfw_graphs(9, 4, 4)),
+        ("--kind diagram --n 8 --k 3 --m 2", lambda: enumerate_diagrams(8, 3, 2)),
+    ])
+    def test_json_is_one_dumps_of_the_list(self, argv, family):
+        # the writer joins one json.dumps per object: the bytes must not move
+        code, text = invoke(["enumerate", *argv.split()])
+        assert code == 0
+        assert text == json.dumps([o.to_json() for o in family()]) + "\n"
+
     def test_permutation_kind(self):
         code, text = invoke(["enumerate", "--kind", "permutation",
                              "--n", "6", "--k", "1", "--m", "4"])

@@ -10,13 +10,14 @@ import gc
 import hashlib
 import json
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positroids import plabic
+from positroids import catalan, plabic
 from positroids.catalan import BinaryTree, enumerate_trees, tree_to_graph
 from positroids.errors import BadAttachment, NotReduced
 from positroids.permutations import BLACK, WHITE
@@ -351,23 +352,34 @@ def reference_family(n: int, k: int) -> tuple[PlabicGraph, ...]:
 
 
 def encode(tree: BinaryTree) -> str:
+    """The tree's Dyck word: "+", horizontal child, "-", vertical child."""
     if tree.is_leaf:
-        return "0"
-    return "1" + encode(tree.horizontal) + encode(tree.vertical)
+        return ""
+    return "+" + encode(tree.horizontal) + "-" + encode(tree.vertical)
 
 
 def decode(word: str) -> BinaryTree:
-    bits = iter(word)
+    # the word and one more "-" are the preorder of the nodes: "+" internal, "-" leaf
+    steps = iter(word + "-")
 
     def node() -> BinaryTree:
-        if next(bits) == "0":
+        if next(steps) == "-":
             return BinaryTree()
         horizontal = node()
         return BinaryTree(horizontal, node())
 
     tree = node()
-    assert next(bits, None) is None
+    assert next(steps, None) is None
     return tree
+
+
+@pytest.fixture
+def cold_families(monkeypatch):
+    """Empty family caches and a cold catalan family plan for one test."""
+    monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(plabic, "_TRIPS", {})
+    monkeypatch.setattr(catalan, "_family_plan", lru_cache(maxsize=None)(
+        catalan._family_plan.__wrapped__))
 
 
 def test_family_matches_build_then_dedupe():
@@ -380,7 +392,7 @@ def test_family_matches_build_then_dedupe():
 def test_words_are_the_family_trees():
     for n, k in M4_FAMILIES:
         graphs = enumerate_bcfw_graphs(n, k, 4)
-        words = plabic._TREE_WORDS[(n, k)]
+        words = catalan._family_plan(n, k)[0]
         assert len(words) == len(graphs)
         assert sorted(words) == sorted(encode(t) for t in enumerate_trees(n, k - 2))
         if n <= 10:
@@ -388,13 +400,27 @@ def test_words_are_the_family_trees():
                 assert tree_to_graph(decode(word)) == g
 
 
-def test_one_blow_up_per_kept_child(monkeypatch):
+def test_anchor_colour_is_read_off_the_tree_word():
+    # the rule the family plan rests on: boundary i hangs on a black vertex
+    # exactly when leaf i is a peak (a horizontal leaf), else on a white one
+    boundaries = 0
+    for n, k in M4_FAMILIES:
+        if n > 11:
+            continue
+        for g, word in zip(enumerate_bcfw_graphs(n, k, 4), catalan._family_plan(n, k)[0]):
+            leaves = [p for p, step in enumerate(word) if step == "-"] + [len(word)]
+            for i, p in enumerate(leaves, 2):
+                anchor = g.boundary_neighbor(i)
+                assert anchor < 0 and g.degree(anchor) == 3, (n, k, word, i)
+                assert g.colors[anchor] == (BLACK if word[p - 1] == "+" else WHITE), (word, i)
+                boundaries += 1
+    assert boundaries == 17_576
+
+
+def test_one_blow_up_per_kept_child(monkeypatch, cold_families):
     calls = []
     real = plabic.blow_up
     monkeypatch.setattr(plabic, "blow_up", lambda g, i: calls.append(i) or real(g, i))
-    monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
-    monkeypatch.setattr(plabic, "_TREE_WORDS", {})
-    monkeypatch.setattr(plabic, "_TRIPS", {})
     for n, k in M4_FAMILIES:
         calls.clear()
         graphs = plabic._family(n, k, 4)
@@ -459,14 +485,11 @@ def test_families_have_distinct_trip_permutations():
         assert len(graphs) == len(perms) == cell_count(n, k, m), (n, k, m)
 
 
-def test_families_are_built_without_canonical_forms(monkeypatch):
+def test_families_are_built_without_canonical_forms(monkeypatch, cold_families):
     def refuse(self):
         raise AssertionError("a family build computed a canonical form")
 
     monkeypatch.setattr(PlabicGraph, "canonical_form", refuse)
-    monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
-    monkeypatch.setattr(plabic, "_TREE_WORDS", {})
-    monkeypatch.setattr(plabic, "_TRIPS", {})
     for n, k, m in families_up_to(10):
         assert len(enumerate_bcfw_graphs(n, k, m)) == cell_count(n, k, m)
 
@@ -482,14 +505,11 @@ def test_carried_permutations_equal_traced_ones_in_order():
         assert bcfw_permutations(n, k - shift, m) == traced, (n, k, m)
 
 
-def test_permutation_families_are_built_without_tracing(monkeypatch):
+def test_permutation_families_are_built_without_tracing(monkeypatch, cold_families):
     def refuse(graph):
         raise AssertionError("a permutation family traced a graph")
 
     monkeypatch.setattr(plabic, "trip_permutation", refuse)
-    monkeypatch.setattr(plabic, "_FAMILY_CACHE", {})
-    monkeypatch.setattr(plabic, "_TREE_WORDS", {})
-    monkeypatch.setattr(plabic, "_TRIPS", {})
     for n, k, m in families_up_to(10):
         perms = bcfw_permutations(n, k - m // 2, m)
         assert len(set(perms)) == cell_count(n, k, m), (n, k, m)
