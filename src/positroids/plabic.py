@@ -3,9 +3,12 @@
 A graph is stored as a rotation system.  Boundary vertices are 1..n
 clockwise around the disk and always have degree one; internal vertices
 are negative integers carrying a color.  Edge j owns half-edges 2j and
-2j+1, and every vertex lists its incident half-edges in clockwise order.
-The owner of each half-edge, ``_ends``, is the only store of edges:
-``edges`` is a view that reads the pairs (_ends[2j], _ends[2j+1]) off it.
+2j+1.  Four flat tuples of ints are the whole embedding: the owner of each
+half-edge (``_ends``), its clockwise successor at that vertex (``_next``,
+the permutation sigma of a combinatorial map), the first half-edge of each
+vertex in ``to_json()`` key order (``_firsts``) and the half-edge of each
+boundary vertex (``_bound``).  ``edges`` and ``rotation`` are views read
+off them on each access, never kept.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from .permutations import BLACK, WHITE, DecoratedPermutation
 
 @dataclass(frozen=True, eq=False, init=False)
 class PlabicGraph:
+    """``colors`` and the four half-edge tuples of the module docstring: ints
+    and strs only, so the collector never walks a cached family member."""
+
     n: int
     colors: Mapping[int, str]
-    rotation: Mapping[int, tuple[int, ...]]
 
     def __init__(self, n, colors, edges, rotation) -> None:
         """Checked: edge j joins edges[j][0] (half-edge 2j) to edges[j][1] (half-edge 2j+1)."""
@@ -48,40 +53,37 @@ class PlabicGraph:
                 raise ValueError("internal vertices must use negative ids")
             if color not in (BLACK, WHITE):
                 raise ValueError(f"bad color {color!r}")
-        # the vertex owning each half-edge, and its position in that
-        # vertex's rotation (-1 = unlisted)
         ends = tuple(v for e in edges if len(e) == 2 for v in e)
         size = len(ends)
         if size != 2 * len(edges):
             raise ValueError("every edge must join exactly two ends")
-        pos = [-1] * size
+        nxt = [-1] * size  # the clockwise successor of each half-edge (-1 = unlisted)
         for v, halves in rotation.items():
             if not (1 <= v <= n or v in colors):
                 raise ValueError(f"vertex {v} is neither boundary nor colored")
-            for at, h in enumerate(halves):
-                if not 0 <= h < size or pos[h] >= 0 or ends[h] != v:
+            for h, succ in zip(halves, (*halves[1:], *halves[:1])):
+                if not 0 <= h < size or nxt[h] >= 0 or ends[h] != v:
                     raise ValueError(f"rotation at {v} does not match its half-edges")
-                pos[h] = at
-        if -1 in pos:
-            raise ValueError(f"rotation at {ends[pos.index(-1)]} does not match its half-edges")
+                nxt[h] = succ
+        if -1 in nxt:
+            raise ValueError(f"rotation at {ends[nxt.index(-1)]} does not match its half-edges")
         for v in colors:
-            if v not in rotation:
+            if not rotation.get(v):
                 raise ValueError(f"internal vertex {v} is isolated")
-        self._store(n, colors, rotation, ends, pos)
+        self._store(n, colors, ends, nxt, (halves[0] for halves in rotation.values()),
+                    (rotation[b][0] for b in range(1, n + 1)))
 
     @classmethod
-    def _built(cls, n, colors, rotation, ends, pos) -> "PlabicGraph":
-        """Surgery output only, never input: built from a valid graph, so valid
-        by construction.  ``ends``/``pos`` are the patched half-edge owners
-        (the edges themselves) and positions."""
+    def _built(cls, n, colors, ends, nxt, firsts, bound) -> "PlabicGraph":
+        """Surgery output only: the patched tuples of a valid parent, valid by construction."""
         g = object.__new__(cls)
-        g._store(n, colors, rotation, ends, pos)
+        g._store(n, colors, ends, nxt, firsts, bound)
         return g
 
-    def _store(self, n, colors, rotation, ends, pos) -> None:
+    def _store(self, n, colors, ends, nxt, firsts, bound) -> None:
         # tuples: the GC untracks a tuple of ints, so cached members cost no GC walk
-        for name, value in zip(("n", "colors", "rotation", "_canon", "_ends", "_pos"),
-                               (n, colors, rotation, None, tuple(ends), tuple(pos))):
+        for name, value in zip(("n", "colors", "_canon", "_ends", "_next", "_firsts", "_bound"),
+                               (n, colors, None, *map(tuple, (ends, nxt, firsts, bound)))):
             object.__setattr__(self, name, value)
 
     @property
@@ -89,6 +91,18 @@ class PlabicGraph:
         """Edge j as the owners of half-edges 2j and 2j+1: read off ``_ends``, never kept."""
         ends = self._ends
         return tuple(zip(ends[::2], ends[1::2]))
+
+    @property
+    def rotation(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's half-edges clockwise by ``_next`` from its first: a new dict per read."""
+        ends, nxt, out = self._ends, self._next, {}
+        for h in self._firsts:
+            cycle, x = [h], nxt[h]
+            while x != h:
+                cycle.append(x)
+                x = nxt[x]
+            out[ends[h]] = tuple(cycle)
+        return out
 
     # ------------------------------------------------------------------
     # structure
@@ -104,7 +118,9 @@ class PlabicGraph:
 
     def boundary_neighbor(self, i: int) -> int:
         """The unique vertex attached to boundary i."""
-        return self._ends[self.rotation[i][0] ^ 1]
+        if not 1 <= i <= self.n:
+            raise BadBoundary(f"no boundary vertex {i}")
+        return self._ends[self._bound[i - 1] ^ 1]
 
     def internal_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.colors, reverse=True))
@@ -125,7 +141,7 @@ class PlabicGraph:
         """
         if self._canon is not None:
             return self._canon
-        ends, rotation, colors, pos = self._ends, self.rotation, self.colors, self._pos
+        ends, nxt, colors = self._ends, self._next, self.colors
         canon: dict[int, int] = {}
         flat: list = []
         next_id = self.n
@@ -133,14 +149,13 @@ class PlabicGraph:
             if b in canon:
                 continue
             canon[b] = b
-            queue = deque([rotation[b][0]])
+            queue = deque([self._bound[b - 1]])
             while queue:
-                arrival = queue.popleft()
-                v = ends[arrival]
-                halves = rotation[v]
-                at = pos[arrival]
-                flat += (colors.get(v), len(halves))
-                for h in halves[at:] + halves[:at]:
+                h = arrival = queue.popleft()
+                v = ends[h]
+                at = len(flat) + 1  # the degree's slot, filled once the cycle is walked
+                flat += (colors.get(v), 0)
+                while True:  # clockwise by sigma, from the arrival
                     u = ends[h ^ 1]
                     c = canon.get(u)
                     if c is None:
@@ -152,7 +167,11 @@ class PlabicGraph:
                         canon[u] = c
                         queue.append(h ^ 1)
                     flat.append(c)
-        if len(canon) < len(rotation):
+                    h = nxt[h]
+                    if h == arrival:
+                        break
+                flat[at] = len(flat) - at - 1
+        if len(canon) < len(self._firsts):
             raise ValueError("graph has a component without boundary vertices")
         form = (self.n, tuple(flat))
         object.__setattr__(self, "_canon", form)
@@ -227,36 +246,37 @@ def trip_permutation(graph: PlabicGraph) -> DecoratedPermutation:
     for i in range(1, graph.n + 1):
         images.append(end := _trip_end(graph, i))
         if end == i:
-            neighbor = graph.boundary_neighbor(i)
-            if neighbor > 0 or graph.degree(neighbor) != 1:
-                raise NonLollipopFixedPoint(
-                    f"boundary {i} returns to itself without a lollipop"
-                )
+            h = graph._bound[i - 1] ^ 1
+            neighbor = graph._ends[h]
+            if neighbor > 0 or graph._next[h] != h:  # a lollipop is its own sigma-cycle
+                raise NonLollipopFixedPoint(f"boundary {i} returns to itself without a lollipop")
             if graph.colors[neighbor] == WHITE:
                 white.add(i)
     return DecoratedPermutation(graph.n, tuple(images), frozenset(white))
 
 
 def _trip_end(graph: PlabicGraph, b: int, back: bool = False) -> int:
-    """Where the trip from boundary b ends, or with ``back`` where the one into b starts."""
-    ends, pos, rotation, colors = graph._ends, graph._pos, graph.rotation, graph.colors
-    cur = rotation[b][0]
+    """Where the trip from boundary b ends, or with ``back`` where the one into b starts.
+    Forward is sigma; back walks sigma's cycle round to the arrival (sigma twice if trivalent)."""
+    ends, nxt, colors = graph._ends, graph._next, graph.colors
+    cur = graph._bound[b - 1]
     while True:
         arriving = cur ^ 1
         end = ends[arriving]
         if end > 0:
             return end
-        halves = rotation[end]
-        step = -1 if (colors[end] == BLACK) != back else 1
-        cur = halves[(pos[arriving] + step) % len(halves)]
+        cur = nxt[arriving]
+        if (colors[end] == BLACK) != back:
+            while nxt[cur] != arriving:
+                cur = nxt[cur]
 
 
 def k_statistic(graph: PlabicGraph) -> int:
     """Edge count minus black vertices minus white excess degree."""
-    white_excess = sum(
-        graph.degree(v) - 1 for v, c in graph.colors.items() if c == WHITE
-    )
-    blacks = sum(1 for c in graph.colors.values() if c == BLACK)
+    colors = graph.colors
+    blacks = sum(1 for c in colors.values() if c == BLACK)
+    whites = len(colors) - blacks
+    white_excess = [*map(colors.get, graph._ends)].count(WHITE) - whites  # degrees minus one
     return len(graph._ends) // 2 - blacks - white_excess
 
 
@@ -264,15 +284,14 @@ def k_statistic(graph: PlabicGraph) -> int:
 # boundary surgeries
 
 
-def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[dict, dict, list]:
+def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[dict, list]:
     """Shift boundary labels above i up by one; returns mutable copies of the
-    rotation, colors and half-edge owners.  The owners are the graph's only
-    edge store, so relabelling patches one owner per shifted boundary."""
-    ends, rotation = list(graph._ends), graph.rotation
-    for b in range(i + 1, graph.n + 1):
-        ends[rotation[b][0]] = b + 1
-    rotation = {v + (v > i): h for v, h in rotation.items()}
-    return rotation, dict(graph.colors), ends
+    colors and half-edge owners.  Boundary labels live only in the owners,
+    so relabelling patches one owner per shifted boundary."""
+    ends = list(graph._ends)
+    for b, h in enumerate(graph._bound[i:], i + 2):
+        ends[h] = b
+    return dict(graph.colors), ends
 
 
 def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
@@ -286,25 +305,27 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
         raise BadBoundary(f"no boundary vertex {i}")
     if color not in (BLACK, WHITE):
         raise ValueError(f"bad color {color!r}")
-    h_i = graph.rotation[i][0]
+    h_i = graph._bound[i - 1]
     h_far, cut = h_i ^ 1, h_i & ~1
-    rotation, colors, ends = _relabel_boundary(graph, i)
+    colors, ends = _relabel_boundary(graph, i)
     v_new = min([0, *colors]) - 1
     colors[v_new] = color
     far = ends[h_far]
     # the old boundary edge goes and three edges are appended: later halves
-    # move down by two, so only their owners' rotations are rewritten
-    base = len(ends) // 2 - 1
-    for v in {far, *(ends[h] for h in range(cut + 2, len(ends)))}:
-        rotation[v] = tuple(2 * base if h == h_far else h - 2 if h > cut else h
-                            for h in rotation[v])
-    rotation[v_new] = (2 * base + 1, 2 * (base + 1), 2 * (base + 2))
-    rotation[i] = (2 * (base + 1) + 1,)
-    rotation[i + 1] = (2 * (base + 2) + 1,)
+    # move down by two, and the old edge's halves become the far end's and
+    # boundary i's halves of the new edges
+    t = len(ends) - 2
+    moved = [*range(cut), 0, 0, *range(cut, t)]
+    moved[h_far], moved[h_i] = t, t + 3
+    old = graph._next
+    nxt = [*map(moved.__getitem__, old[:cut] + old[cut + 2:]),
+           moved[old[h_far]], t + 2, t + 4, t + 3, t + 1, t + 5]
+    bound = [*map(moved.__getitem__, graph._bound)]
+    bound.insert(i, t + 5)
     del ends[cut:cut + 2]
     ends += [far, v_new, v_new, i, v_new, i + 1]
-    pos = [*graph._pos[:cut], *graph._pos[cut + 2:], graph._pos[h_far], 0, 1, 0, 2, 0]
-    return PlabicGraph._built(graph.n + 1, colors, rotation, ends, pos)
+    return PlabicGraph._built(graph.n + 1, colors, ends, nxt,
+                              [*map(moved.__getitem__, graph._firsts), t + 1, t + 5], bound)
 
 
 def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
@@ -317,33 +338,34 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     """
     if not 1 <= i <= graph.n:
         raise BadBoundary(f"no boundary vertex {i}")
-    h_i = graph.rotation[i][0]
-    v = graph._ends[h_i ^ 1]
-    if v > 0 or graph.degree(v) != 3:
+    h_v = graph._bound[i - 1] ^ 1
+    v = graph._ends[h_v]
+    nxt = list(graph._next)
+    h_to_e = nxt[h_v]
+    h_to_f = nxt[h_to_e]
+    if v > 0 or nxt[h_to_f] != h_v or h_v in (h_to_e, h_to_f):
         raise BadAttachment(f"boundary {i} is not attached to a trivalent vertex")
-    halves = graph.rotation[v]
-    at = graph._pos[h_i ^ 1]
-    h_to_e, h_to_f = halves[(at + 1) % 3], halves[(at + 2) % 3]
 
-    rotation, colors, ends = _relabel_boundary(graph, i)
-    del colors[v], rotation[v]
+    colors, ends = _relabel_boundary(graph, i)
+    del colors[v]
     low = min([0, *colors]) - 1
     a, b, c, d = low, low - 1, low - 2, low - 3
     colors.update({a: BLACK, b: WHITE, c: BLACK, d: WHITE})
 
     # the old vertex's three edges get new ends in place, so half-edge ids
-    # are kept and no edge is renumbered: patch the parent's owners and positions
-    ends[h_to_e], ends[h_to_f], ends[h_i ^ 1] = a, b, c
-    base = len(ends) // 2
-    rotation[a] = (h_to_e, 2 * base, 2 * (base + 3) + 1)
-    rotation[b] = (h_to_f, 2 * (base + 1), 2 * base + 1)
-    rotation[c] = (2 * (base + 1) + 1, h_i ^ 1, 2 * (base + 2))
-    rotation[d] = (2 * (base + 3), 2 * (base + 2) + 1, 2 * (base + 4))
-    rotation[i + 1] = (2 * (base + 4) + 1,)
+    # are kept and no edge is renumbered; the square's five edges are
+    # appended, clockwise a: (e, b, d), b: (f, c, a), c: (b, i, d), d: (a, c, i+1)
+    t = len(ends)
+    ends[h_to_e], ends[h_to_f], ends[h_v] = a, b, c
     ends += [a, b, b, c, c, d, d, a, d, i + 1]
-    pos = [*graph._pos, 1, 2, 1, 0, 2, 1, 0, 2, 2, 0]
-    pos[h_to_e], pos[h_to_f], pos[h_i ^ 1] = 0, 0, 1
-    return PlabicGraph._built(graph.n + 1, colors, rotation, ends, pos)
+    nxt[h_to_e], nxt[h_to_f], nxt[h_v] = t, t + 2, t + 4
+    nxt += [t + 7, h_to_f, t + 1, h_v, t + 3, t + 8, t + 5, h_to_e, t + 6, t + 9]
+    firsts = list(graph._firsts)
+    firsts.remove(*{h_v, h_to_e, h_to_f}.intersection(firsts))  # v's first half goes
+    firsts += [h_to_e, h_to_f, t + 3, t + 6, t + 9]
+    bound = graph._bound
+    return PlabicGraph._built(graph.n + 1, colors, ends, nxt, firsts,
+                              (*bound[:i], t + 9, *bound[i:]))
 
 
 # ----------------------------------------------------------------------
@@ -520,12 +542,15 @@ def graph_from_le(diagram: OPlusDiagram) -> PlabicGraph:
 
     colors: dict[int, str] = {}
     ports: dict[tuple[tuple[int, int], str], int] = {}
-    counter = [0]
+    spokes: dict[int, tuple] = {}  # each box vertex's ports, clockwise
 
-    def new_vertex(color: str) -> int:
-        counter[0] -= 1
-        colors[counter[0]] = color
-        return counter[0]
+    def new_vertex(color: str, box=None, *clockwise: str) -> int:
+        v = -len(colors) - 1
+        colors[v] = color
+        if clockwise:
+            spokes[v] = tuple((box, d) for d in clockwise)
+            ports.update(dict.fromkeys(spokes[v], v))
+        return v
 
     bent: set[tuple[int, int]] = set()
     for box in sorted(info):
@@ -533,16 +558,12 @@ def graph_from_le(diagram: OPlusDiagram) -> PlabicGraph:
         if not west and not north:
             bent.add(box)
         elif west and not north:
-            w = new_vertex(WHITE)
-            ports[(box, "E")] = ports[(box, "S")] = ports[(box, "W")] = w
+            new_vertex(WHITE, box, "E", "S", "W")
         elif north and not west:
-            b = new_vertex(BLACK)
-            ports[(box, "N")] = ports[(box, "E")] = ports[(box, "S")] = b
-        else:
-            b = new_vertex(BLACK)
-            w = new_vertex(WHITE)
-            ports[(box, "N")] = ports[(box, "E")] = b
-            ports[(box, "S")] = ports[(box, "W")] = w
+            new_vertex(BLACK, box, "N", "E", "S")
+        else:  # joined by the edge DB-DW
+            new_vertex(BLACK, box, "N", "E", "DB")
+            new_vertex(WHITE, box, "DW", "S", "W")
 
     def east_port(box):
         east = info[box][0]
@@ -578,14 +599,7 @@ def graph_from_le(diagram: OPlusDiagram) -> PlabicGraph:
             links.append((("lollipop", new_vertex(BLACK)), ("boundary", columns[c])))
 
     def owner(port) -> int:
-        if port[0] in ("boundary", "lollipop"):
-            return port[1]
-        box, direction = port
-        if direction == "DB":
-            return ports[(box, "N")]
-        if direction == "DW":
-            return ports[(box, "S")]
-        return ports[(box, direction)]
+        return port[1] if port[0] in ("boundary", "lollipop") else ports[port]
 
     half_at: dict[tuple, int] = {}
     edges: list[tuple[int, int]] = []
@@ -595,39 +609,9 @@ def graph_from_le(diagram: OPlusDiagram) -> PlabicGraph:
         half_at[pa] = 2 * j
         half_at[pb] = 2 * j + 1
 
-    rotation: dict[int, tuple[int, ...]] = {}
-    for b in range(1, diagram.n + 1):
-        rotation[b] = (half_at[("boundary", b)],)
-    for port, h in half_at.items():
-        if port[0] == "lollipop":
-            rotation[port[1]] = (h,)
-    for box in info:
-        if box in bent:
-            continue
-        _, _, west, north = info[box]
-        if west and north:
-            rotation[ports[(box, "N")]] = (
-                half_at[(box, "N")],
-                half_at[(box, "E")],
-                half_at[(box, "DB")],
-            )
-            rotation[ports[(box, "S")]] = (
-                half_at[(box, "DW")],
-                half_at[(box, "S")],
-                half_at[(box, "W")],
-            )
-        elif west:
-            rotation[ports[(box, "E")]] = (
-                half_at[(box, "E")],
-                half_at[(box, "S")],
-                half_at[(box, "W")],
-            )
-        else:
-            rotation[ports[(box, "N")]] = (
-                half_at[(box, "N")],
-                half_at[(box, "E")],
-                half_at[(box, "S")],
-            )
+    rotation = {b: (half_at[("boundary", b)],) for b in range(1, diagram.n + 1)}
+    rotation.update((port[1], (h,)) for port, h in half_at.items() if port[0] == "lollipop")
+    rotation.update((v, tuple(map(half_at.__getitem__, spoke))) for v, spoke in spokes.items())
     return PlabicGraph(diagram.n, colors, tuple(edges), rotation)
 
 

@@ -85,9 +85,10 @@ def _svg_graph(graph: PlabicGraph) -> str:
         pos[b] = (cx + radius * math.cos(ang), cy - radius * math.sin(ang))
     depth = {b: 0 for b in range(1, graph.n + 1)}  # distance from the boundary
     queue = deque(depth)
+    rotation = graph.rotation  # a view rebuilt on each read: read it once
     while queue:
         v = queue.popleft()
-        for u in graph.neighbors(v):
+        for u in (graph.vertex_of(h ^ 1) for h in rotation[v]):
             if u not in depth:
                 depth[u] = depth[v] + 1
                 queue.append(u)

@@ -412,6 +412,14 @@ class TestSerialization:
         # an internal vertex without a color
         with pytest.raises(ValueError):
             PlabicGraph(2, {}, path, {1: (0,), -1: (1, 2), 2: (3,)})
+        # a colored vertex listed with no half-edge has no first half: isolated
+        with pytest.raises(ValueError, match="isolated"):
+            PlabicGraph(2, {-1: WHITE}, ((1, 2),), {1: (0,), 2: (1,), -1: ()})
+
+    @pytest.mark.parametrize("i", [0, -1, 5])
+    def test_boundary_neighbor_needs_a_boundary_label(self, i):
+        with pytest.raises(BadBoundary):
+            base_square().boundary_neighbor(i)
 
     def test_svg_smoke(self):
         svg = render.SVG["graph"](graph_from_le(TEN))

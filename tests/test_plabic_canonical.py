@@ -115,16 +115,21 @@ def test_equality_matches_reference_on_raw_children():
     assert duplicates > 0
 
 
+def layout(g: PlabicGraph) -> tuple:
+    """The stored half-edge tuples: owners, clockwise successors, each
+    vertex's first half-edge and each boundary's half-edge."""
+    return g._ends, g._next, g._firsts, g._bound
+
+
 def assert_checked(child: PlabicGraph) -> None:
     checked = PlabicGraph(child.n, child.colors, child.edges, child.rotation)
-    assert checked._ends == child._ends and checked._pos == child._pos
-    assert checked.canonical_form() == child.canonical_form()
+    assert layout(checked) == layout(child)  # and so the same form, edges and rotation
 
 
 def test_surgery_output_passes_the_public_check():
     # split and blow_up build their children without validating them; the
     # validating constructor must accept every one and derive the same
-    # half-edge owners, positions and form
+    # half-edge tuples
     families = [(n, k, 2) for n in range(2, 12) for k in range(1, n)]
     families += [(n, k, 4) for n in range(4, 12) for k in range(2, n - 1)]
     for family in families:
@@ -135,14 +140,14 @@ def test_surgery_output_passes_the_public_check():
 def renumbering_split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     """`split` as first written, kept as an oracle: append the three new
     edges, then renumber every later half-edge in every rotation."""
-    edges = list(graph.edges)
+    edges, rotation = list(graph.edges), graph.rotation
     for b in range(i + 1, graph.n + 1):
-        h = graph.rotation[b][0]
+        h = rotation[b][0]
         x, y = edges[h >> 1]
         edges[h >> 1] = (x, b + 1) if h & 1 else (b + 1, y)
-    rotation = {v + (v > i): h for v, h in graph.rotation.items()}
+    h_i = rotation[i][0]
+    rotation = {v + (v > i): h for v, h in rotation.items()}
     colors = dict(graph.colors)
-    h_i = graph.rotation[i][0]
     old_edge = h_i // 2
     v_new = min([0, *colors]) - 1
     colors[v_new] = color
@@ -163,16 +168,16 @@ def reference_blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     """`blow_up` on edge pairs, kept as an oracle: the old vertex's three
     edges end at the square's corners instead, the square's five edges are
     appended, and the checked constructor derives the half-edge owners."""
-    edges = list(graph.edges)
+    edges, rotation = list(graph.edges), graph.rotation
     for b in range(i + 1, graph.n + 1):
-        h = graph.rotation[b][0]
+        h = rotation[b][0]
         x, y = edges[h >> 1]
         edges[h >> 1] = (x, b + 1) if h & 1 else (b + 1, y)
-    rotation = {v + (v > i): h for v, h in graph.rotation.items()}
+    h_i = rotation[i][0]
+    rotation = {v + (v > i): h for v, h in rotation.items()}
     colors = dict(graph.colors)
-    h_i = graph.rotation[i][0]
     v = graph.boundary_neighbor(i)
-    halves = graph.rotation[v]
+    halves = rotation[v]
     at = halves.index(h_i ^ 1)
     h_e, h_f = halves[(at + 1) % 3], halves[(at + 2) % 3]
     del colors[v], rotation[v]
@@ -199,32 +204,29 @@ def reference_blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
 def test_surgeries_at_every_boundary_match_the_checked_constructor():
     # the family splits only at n-1, where the deleted edge is the last one;
     # every other boundary moves later half-edges down, and base_bridge's
-    # far end is itself a boundary
-    graphs = [base_bridge()] + [g for family in families_up_to(9)
+    # far end is itself a boundary.  Each oracle is a checked build from dicts,
+    # so equal tuples also show the child passing the checked constructor
+    graphs = [base_bridge()] + [g for family in families_up_to(10)
                                 for g in enumerate_bcfw_graphs(*family)]
     splits = blow_ups = 0
     for g in graphs:
-        before = g.to_json(), g._ends, g._pos
+        before = g.to_json(), layout(g)
         for i in range(1, g.n + 1):
             for color in (WHITE, BLACK):
                 child = split(g, i, color)
-                assert_checked(child)
                 oracle = renumbering_split(g, i, color)
-                assert child.edges == oracle.edges and child.colors == oracle.colors
-                assert list(child.rotation.items()) == list(oracle.rotation.items())
+                assert layout(child) == layout(oracle) and child.colors == oracle.colors
                 splits += 1
             v = g.boundary_neighbor(i)
             if v < 0 and g.degree(v) == 3:
                 child = blow_up(g, i)
-                assert_checked(child)
                 oracle = reference_blow_up(g, i)
-                assert child.edges == oracle.edges and child.colors == oracle.colors
-                assert list(child.rotation.items()) == list(oracle.rotation.items())
+                assert layout(child) == layout(oracle) and child.colors == oracle.colors
                 blow_ups += 1
             else:
                 with pytest.raises(BadAttachment):
                     blow_up(g, i)
-        assert (g.to_json(), g._ends, g._pos) == before
+        assert (g.to_json(), layout(g)) == before
     assert splits > 2 * len(graphs) and blow_ups > len(graphs)
 
 
@@ -235,7 +237,26 @@ def test_cached_members_hold_untracked_tuples():
     graphs = enumerate_bcfw_graphs(9, 4, 4) + enumerate_bcfw_graphs(9, 4, 2)
     gc.collect()
     for g in graphs:
-        assert not gc.is_tracked(g._ends) and not gc.is_tracked(g._pos)
+        assert not any(map(gc.is_tracked, layout(g))) and not gc.is_tracked(g.colors)
+
+
+def test_cached_members_are_rotation_systems():
+    # _next is sigma: a permutation of the half-edges whose cycles are the
+    # vertices; _firsts names each vertex once, in rotation (to_json) key
+    # order; _bound[b-1] is boundary b's half-edge; no rotation dict is kept
+    for family in families_up_to(11):
+        for g in enumerate_bcfw_graphs(*family):
+            rotation = g.rotation  # each first half's sigma-cycle
+            assert sorted(g._next) == list(range(len(g._ends)))
+            owners = [g._ends[h] for h in g._firsts]
+            assert owners == list(rotation) == [int(v) for v in g.to_json()["rotation"]]
+            assert sorted(owners) == sorted([*range(1, g.n + 1), *g.colors])
+            for v, cycle in rotation.items():
+                assert {g._ends[h] for h in cycle} == {v}
+            assert sorted(h for cycle in rotation.values() for h in cycle) == sorted(g._next)
+            assert [g._ends[h] for h in g._bound] == list(range(1, g.n + 1))
+            assert all(type(x) is int for t in layout(g) for x in t)
+            assert [k for k, v in vars(g).items() if isinstance(v, dict)] == ["colors"]
 
 
 def test_cached_members_store_no_edge_pairs():
