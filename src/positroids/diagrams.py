@@ -250,14 +250,16 @@ def is_reduced(diagram: OPlusDiagram) -> bool:
 
 
 def is_le_diagram(diagram: OPlusDiagram) -> bool:
-    """True when no 0 has a + above it and a + to its left."""
-    for r, c in diagram.boxes():
-        if diagram.fill(r, c) != "0":
-            continue
-        above = any(diagram.fill(rr, c) == "+" for rr in range(1, r))
-        left = any(diagram.fill(r, cc) == "+" for cc in range(1, c))
-        if above and left:
-            return False
+    """True when no 0 has a + above it and a + to its left: one row-major
+    sweep, with a flag per column for a + above."""
+    above = [False] * (diagram.n - diagram.k)
+    for row in diagram.rows:
+        left = False
+        for c, x in enumerate(row):
+            if x == "+":
+                left = above[c] = True
+            elif left and above[c]:
+                return False
     return True
 
 

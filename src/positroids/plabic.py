@@ -500,45 +500,36 @@ def bcfw_permutations(n: int, k: int, m: int) -> list[DecoratedPermutation]:
 # graphs from diagrams
 
 
-def _hook_targets(diagram: OPlusDiagram):
-    """Per + box: next + east, next + south, and west/north presence."""
-    pluses = set(diagram.plus_boxes())
-    info = {}
-    for r, c in sorted(pluses):
-        east = next(
-            (
-                (r, cc)
-                for cc in range(c + 1, diagram.shape[r - 1] + 1)
-                if (r, cc) in pluses
-            ),
-            None,
-        )
-        south = next(
-            (
-                (rr, c)
-                for rr in range(r + 1, diagram.k + 1)
-                if diagram.shape[rr - 1] >= c and (rr, c) in pluses
-            ),
-            None,
-        )
-        west = any((r, cc) in pluses for cc in range(1, c))
-        north = any((rr, c) in pluses for rr in range(1, r))
-        info[(r, c)] = (east, south, west, north)
-    return info
+def _hooks(diagram: OPlusDiagram) -> dict:
+    """Each + box's hooks: the nearest + to its east and to its south, or None
+    at the border.  One sweep, bottom row to top and east to west."""
+    out: dict[tuple[int, int], tuple] = {}
+    south: dict[int, tuple[int, int]] = {}
+    for r in range(diagram.k, 0, -1):
+        east = None
+        for c in range(diagram.shape[r - 1], 0, -1):
+            if diagram.rows[r - 1][c - 1] == "+":
+                out[r, c] = (east, south.get(c))
+                east = south[c] = (r, c)
+    return out
 
 
 def graph_from_le(diagram: OPlusDiagram) -> PlabicGraph:
     """The bicolored graph whose trips reproduce the diagram's wiring.
 
-    A + box with only outgoing hook directions is a bare wire; with a +
-    to its west it gains a white vertex, with a + above a black one, and
-    with both it splits into a black/white pair joined by an edge.
-    Empty rows and columns become white and black lollipops.
+    Each + box is wired to its hooks in the ``_hooks`` table.  A box that
+    is no box's hook is a bare wire; a box that is some box's east hook (a +
+    to its west) gains a white vertex, some box's south hook (a + above) a
+    black one, and both a black/white pair joined by an edge.  Empty rows
+    and columns become white and black lollipops.
     """
     if not is_le_diagram(diagram):
         raise NotLe("diagram must satisfy the row-column sorting property")
     sources, columns = diagram.border_labels()
-    info = _hook_targets(diagram)
+    hooks = _hooks(diagram)
+    boxes = sorted(hooks)
+    west = {east for east, _ in hooks.values()}  # the boxes with a + to the west
+    north = {south for _, south in hooks.values()}  # the boxes with a + above
 
     colors: dict[int, str] = {}
     ports: dict[tuple[tuple[int, int], str], int] = {}
@@ -552,50 +543,41 @@ def graph_from_le(diagram: OPlusDiagram) -> PlabicGraph:
             ports.update(dict.fromkeys(spokes[v], v))
         return v
 
-    bent: set[tuple[int, int]] = set()
-    for box in sorted(info):
-        _, _, west, north = info[box]
-        if not west and not north:
-            bent.add(box)
-        elif west and not north:
-            new_vertex(WHITE, box, "E", "S", "W")
-        elif north and not west:
-            new_vertex(BLACK, box, "N", "E", "S")
-        else:  # joined by the edge DB-DW
-            new_vertex(BLACK, box, "N", "E", "DB")
-            new_vertex(WHITE, box, "DW", "S", "W")
+    for box in boxes:  # with both, a black/white pair joined by the edge DB-DW
+        if box in north:
+            new_vertex(BLACK, box, "N", "E", "DB" if box in west else "S")
+        if box in west:
+            new_vertex(WHITE, box, "DW" if box in north else "E", "S", "W")
 
     def east_port(box):
-        east = info[box][0]
+        east = hooks[box][0]
         if east is None:
             return ("boundary", sources[box[0] - 1])
         return (east, "W")
 
     def south_port(box):
-        south = info[box][1]
+        south = hooks[box][1]
         if south is None:
             return ("boundary", columns[box[1]])
         return (south, "N")
 
     links: list[tuple] = []
-    for box in sorted(info):
-        if box in bent:
+    for box in boxes:
+        if box not in west and box not in north:  # a bare wire
             links.append((east_port(box), south_port(box)))
         else:
             links.append(((box, "E"), east_port(box)))
             links.append(((box, "S"), south_port(box)))
-            if info[box][2] and info[box][3]:
+            if box in west and box in north:
                 links.append(((box, "DB"), (box, "DW")))
     for r in range(1, diagram.k + 1):
         if "+" not in diagram.rows[r - 1]:
             links.append(
                 (("lollipop", new_vertex(WHITE)), ("boundary", sources[r - 1]))
             )
+    plus_columns = {c for _, c in boxes}
     for c in range(1, diagram.n - diagram.k + 1):
-        column_has_plus = any(
-            diagram.fill(r, c) == "+" for r in range(1, diagram.column_height(c) + 1)
-        )
-        if not column_has_plus:
+        if c not in plus_columns:
             links.append((("lollipop", new_vertex(BLACK)), ("boundary", columns[c])))
 
     def owner(port) -> int:
@@ -637,7 +619,9 @@ class Network:
     """Edge-weighted planar network read off a sorted diagram.
 
     Horizontal edges carry the variables, numbered row by row starting
-    at the east border of each row; vertical edges have weight one.
+    at the east border of each row; vertical edges have weight one.  Each
+    + box's edges run to its hooks (``_hooks``): the nearest + to the east
+    and to the south, else its row's source and its column's sink.
     Sources index the matrix rows, every boundary label a column.
     ``matrix`` sums the paths on integers, the weights written over one
     common denominator, and divides once per entry; the value-free part of
@@ -745,43 +729,22 @@ class Network:
 
 
 def build_network(diagram: OPlusDiagram) -> Network:
-    """Hook the + boxes of a sorted diagram into a weighted network."""
+    """Hook the + boxes of a sorted diagram into a weighted network: each
+    box's edges run to its entries in the ``_hooks`` table."""
     if not is_le_diagram(diagram):
         raise NotLe("diagram must satisfy the row-column sorting property")
     sources, columns = diagram.border_labels()
-    pluses = set(diagram.plus_boxes())
-
-    variables: list[str] = []
-    horizontal: list[tuple[str, tuple, tuple]] = []
-    for r in range(1, diagram.k + 1):
-        row_cols = sorted((c for rr, c in pluses if rr == r), reverse=True)
-        if not row_cols:
-            continue
-        chain: list[tuple] = [("source", sources[r - 1])]
-        chain += [(r, c) for c in row_cols]
-        for tail, head in zip(chain, chain[1:]):
-            name = f"a{len(variables) + 1}"
-            variables.append(name)
-            horizontal.append((name, tail, head))
-
-    vertical: list[tuple[tuple, tuple]] = []
-    for (r, c) in sorted(pluses):
-        below = next(
-            (
-                (rr, c)
-                for rr in range(r + 1, diagram.k + 1)
-                if diagram.shape[rr - 1] >= c and (rr, c) in pluses
-            ),
-            None,
-        )
-        vertical.append(((r, c), below if below else ("sink", columns[c])))
-
+    hooks = _hooks(diagram)
+    horizontal = tuple(
+        (f"a{i}", hooks[box][0] or ("source", sources[box[0] - 1]), box)
+        for i, box in enumerate(sorted(hooks, key=lambda box: (box[0], -box[1])), 1))
+    vertical = tuple((box, hooks[box][1] or ("sink", columns[box[1]])) for box in sorted(hooks))
     return Network(
         k=diagram.k,
         n=diagram.n,
         sources=sources,
         sinks=dict(columns),
-        variables=tuple(variables),
-        horizontal=tuple(horizontal),
-        vertical=tuple(vertical),
+        variables=tuple(name for name, _, _ in horizontal),
+        horizontal=horizontal,
+        vertical=vertical,
     )

@@ -1,7 +1,9 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,9 @@ from positroids.errors import (
 )
 from positroids.permutations import BLACK, WHITE, DecoratedPermutation
 from positroids.plabic import (
+    Network,
     PlabicGraph,
+    _hooks,
     base_bridge,
     base_square,
     bcfw_permutations,
@@ -337,6 +341,125 @@ class TestNetworks:
         assert data["sinks"]["6"] == 1
         assert len(data["variables"]) == 9
         assert len(data["vertical"]) == 9  # one per + box
+
+
+# ----------------------------------------------------------------------
+# the hook sweep against the rescans it replaced
+
+
+def _old_is_le_diagram(diagram):
+    """Rescans the row and the column of every 0 box."""
+    for r, c in diagram.boxes():
+        if diagram.fill(r, c) != "0":
+            continue
+        above = any(diagram.fill(rr, c) == "+" for rr in range(1, r))
+        left = any(diagram.fill(r, cc) == "+" for cc in range(1, c))
+        if above and left:
+            return False
+    return True
+
+
+def _old_hook_targets(diagram):
+    """Per + box: next + east, next + south, and west/north presence."""
+    pluses = set(diagram.plus_boxes())
+    info = {}
+    for r, c in sorted(pluses):
+        east = next(
+            ((r, cc) for cc in range(c + 1, diagram.shape[r - 1] + 1) if (r, cc) in pluses),
+            None,
+        )
+        south = next(
+            (
+                (rr, c)
+                for rr in range(r + 1, diagram.k + 1)
+                if diagram.shape[rr - 1] >= c and (rr, c) in pluses
+            ),
+            None,
+        )
+        west = any((r, cc) in pluses for cc in range(1, c))
+        north = any((rr, c) in pluses for rr in range(1, r))
+        info[(r, c)] = (east, south, west, north)
+    return info
+
+
+def _old_build_network(diagram):
+    """``build_network`` with its own east chains and south scans."""
+    sources, columns = diagram.border_labels()
+    pluses = set(diagram.plus_boxes())
+    variables, horizontal = [], []
+    for r in range(1, diagram.k + 1):
+        row_cols = sorted((c for rr, c in pluses if rr == r), reverse=True)
+        if not row_cols:
+            continue
+        chain = [("source", sources[r - 1])] + [(r, c) for c in row_cols]
+        for tail, head in zip(chain, chain[1:]):
+            name = f"a{len(variables) + 1}"
+            variables.append(name)
+            horizontal.append((name, tail, head))
+    vertical = []
+    for (r, c) in sorted(pluses):
+        below = next(
+            (
+                (rr, c)
+                for rr in range(r + 1, diagram.k + 1)
+                if diagram.shape[rr - 1] >= c and (rr, c) in pluses
+            ),
+            None,
+        )
+        vertical.append(((r, c), below if below else ("sink", columns[c])))
+    return Network(diagram.k, diagram.n, sources, dict(columns), tuple(variables),
+                   tuple(horizontal), tuple(vertical))
+
+
+def _fillings(n_max, box_max):
+    """Every {0, +} filling of every shape with 1 <= n <= n_max, at most box_max boxes."""
+
+    def shapes(k, width, room):
+        if k == 0:
+            yield ()
+            return
+        for lam in range(min(width, room), -1, -1):
+            for rest in shapes(k - 1, lam, room - lam):
+                yield (lam, *rest)
+
+    for n in range(1, n_max + 1):
+        for k in range(n + 1):
+            for shape in shapes(k, n - k, box_max):
+                ends = list(accumulate(shape))
+                for fills in product("0+", repeat=sum(shape)):
+                    rows = tuple("".join(fills[e - w : e]) for w, e in zip(shape, ends))
+                    yield OPlusDiagram(k, n, shape, rows)
+
+
+# sha256 of the graph_from_le JSON of every Le-diagram among _fillings(7, 9),
+# one json.dumps per line, recorded while graph_from_le read _old_hook_targets
+GRAPH_FROM_LE_SHA256 = "25819c9df2b537d5b4c2477852879c69e650401338ff0bde87bc590162c4e2ec"
+
+
+class TestHookSweep:
+    def test_against_the_rescans(self):
+        fillings, sorted_ones = 0, 0
+        digest = hashlib.sha256()
+        for d in _fillings(7, 9):
+            fillings += 1
+            assert is_le_diagram(d) == _old_is_le_diagram(d), d
+            if not is_le_diagram(d):
+                with pytest.raises(NotLe):
+                    build_network(d)
+                with pytest.raises(NotLe):
+                    graph_from_le(d)
+                continue
+            sorted_ones += 1
+            hooks, old = _hooks(d), _old_hook_targets(d)
+            easts = {east for east, _ in hooks.values()}
+            souths = {south for _, south in hooks.values()}
+            assert {box: (box in easts, box in souths, *hook) for box, hook in hooks.items()} == {
+                box: (west, north, east, south) for box, (east, south, west, north) in old.items()
+            }, d
+            assert build_network(d).to_json() == _old_build_network(d).to_json(), d
+            digest.update(json.dumps(graph_from_le(d).to_json()).encode() + b"\n")
+        assert (fillings, sorted_ones) == (14069, 9671)
+        assert digest.hexdigest() == GRAPH_FROM_LE_SHA256
 
 
 class TestSerialization:
