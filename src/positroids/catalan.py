@@ -14,7 +14,6 @@ MacMahon) are computed on integers only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -22,6 +21,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from .diagrams import _pair_words, _rectangle, _shapes, _word_from_rows, _young_rows, \
     noncrossing_pairs
 from .errors import BadRange, InvariantViolated, NotBCFWGraph, _int, _list
+from .records import Record
 
 if TYPE_CHECKING:
     from .plabic import PlabicGraph
@@ -31,8 +31,7 @@ if TYPE_CHECKING:
 # binary trees
 
 
-@dataclass(frozen=True)
-class BinaryTree:
+class BinaryTree(Record):
     """Complete rooted binary tree with ordered (horizontal, vertical) children.
 
     A node is a leaf exactly when both children are None.  Leaves are
@@ -40,11 +39,14 @@ class BinaryTree:
     first, so the label-2 leaf hangs off the all-horizontal spine.
     """
 
-    horizontal: Optional["BinaryTree"] = None
-    vertical: Optional["BinaryTree"] = None
+    _fields = ("horizontal", "vertical")
 
-    def __post_init__(self) -> None:
-        if (self.horizontal is None) != (self.vertical is None):
+    def __init__(self, horizontal: Optional[BinaryTree] = None,
+                 vertical: Optional[BinaryTree] = None) -> None:
+        store = object.__setattr__  # _set unrolled: the enumerations build thousands
+        store(self, "horizontal", horizontal)
+        store(self, "vertical", vertical)
+        if (horizontal is None) != (vertical is None):
             raise ValueError("a node has either two children or none")
 
     @property
@@ -166,8 +168,7 @@ def graph_to_tree(graph: PlabicGraph) -> BinaryTree:
 # path pairs
 
 
-@dataclass(frozen=True)
-class PathPair:
+class PathPair(Record):
     """Noncrossing pair of lattice paths, upper weakly northeast of lower.
 
     Words start at the northeast corner of the k x b rectangle; H steps
@@ -175,12 +176,11 @@ class PathPair:
     affect the words themselves.
     """
 
-    wu: str
-    wl: str
-    m: int = 4
+    _fields = ("wu", "wl", "m")
 
-    def __post_init__(self) -> None:
-        _rectangle((self.wu, self.wl))
+    def __init__(self, wu: str, wl: str, m: int = 4) -> None:
+        self._set(wu, wl, m)
+        _rectangle((wu, wl))
 
     @classmethod
     def _built(cls, wu: str, wl: str) -> "PathPair":
@@ -250,17 +250,17 @@ def omega_TL(tree: BinaryTree) -> PathPair:
 # Dyck paths
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Record):
     """Balanced word over + (up) and - (down) staying weakly above the axis."""
 
-    steps: str
+    _fields = ("steps",)
 
-    def __post_init__(self) -> None:
-        if set(self.steps) - {"+", "-"}:
+    def __init__(self, steps: str) -> None:
+        self._set(steps)
+        if set(steps) - {"+", "-"}:
             raise ValueError("steps use only + and -")
         height = 0
-        for ch in self.steps:
+        for ch in steps:
             height += 1 if ch == "+" else -1
             if height < 0:
                 raise ValueError("path dips below the axis")
@@ -465,14 +465,13 @@ def dyck_step_labels(path: DyckPath):
 # plane partitions
 
 
-@dataclass(frozen=True)
-class NoncrossingPathTuple:
+class NoncrossingPathTuple(Record):
     """Paths in a common rectangle, each weakly northeast of the next."""
 
-    words: tuple[str, ...]
+    _fields = ("words",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(self.words))
+    def __init__(self, words: tuple[str, ...]) -> None:
+        self._set(tuple(words))
         _rectangle(self.words)
 
     @classmethod
@@ -507,17 +506,13 @@ class NoncrossingPathTuple:
 _MAX_BOX_CELLS = 100_000
 
 
-@dataclass(frozen=True)
-class PlanePartition:
+class PlanePartition(Record):
     """Array in an a x b box, entries <= c, weakly decreasing both ways."""
 
-    a: int
-    b: int
-    c: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("a", "b", "c", "rows")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+    def __init__(self, a: int, b: int, c: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        self._set(a, b, c, tuple(tuple(r) for r in rows))
         if min(self.a, self.b, self.c) < 0:
             raise ValueError("box dimensions must be nonnegative")
         if len(self.rows) != self.a or any(len(r) != self.b for r in self.rows):

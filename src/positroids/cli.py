@@ -4,8 +4,10 @@ Verbs: enumerate, convert, sample, verify, experiment, render.  All input
 and output is JSON on stdio (except the tsv/ascii/svg render formats), and
 randomness is always derived from --seed so runs replay exactly.  Each
 verb imports the package modules it uses on first use, so a request pays
-start-up only for those.  This module reads, converts and checks; the
-drawers live in ``render``, which only ``render`` and ``--format ascii`` load.
+start-up only for those; the records are plain classes (``records``), since
+``dataclasses`` would cost each process about 15 ms.  This module reads,
+converts and checks; the drawers live in ``render``, which only ``render``
+and ``--format ascii`` load.
 
 Exit codes: 0 for success or a finding, 1 for a violated check (a failed
 verification, an experiment verdict of "violation"), 2 for usage errors

@@ -16,15 +16,14 @@ k x b rectangle is a Young shape, or a word read from the northeast corner
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BadRange, Crossing, NotReduced, _int, _list
 from .permutations import DecoratedPermutation
+from .records import Record
 
 
-@dataclass(frozen=True)
-class OPlusDiagram:
+class OPlusDiagram(Record):
     """A {0, +} filling of a Young diagram inside a k x (n-k) rectangle.
 
     ``shape`` always has exactly k entries; trailing zero rows are
@@ -35,12 +34,10 @@ class OPlusDiagram:
     2
     """
 
-    k: int
-    n: int
-    shape: tuple[int, ...]
-    rows: tuple[str, ...]
+    _fields = ("k", "n", "shape", "rows")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k: int, n: int, shape: tuple[int, ...], rows: tuple[str, ...]) -> None:
+        self._set(k, n, shape, rows)
         if not 0 <= self.k <= self.n:
             raise ValueError("need 0 <= k <= n")
         if len(self.shape) != self.k or len(self.rows) != self.k:
@@ -153,20 +150,19 @@ class OPlusDiagram:
 # wiring
 
 
-@dataclass(frozen=True)
-class PipeDream:
+class PipeDream(Record):
     """The wiring of a filling: trips, plus every wire crossing.
 
     ``crossings`` maps each 0 box to the pair (label of the wire passing
     horizontally, label of the wire passing vertically).
     """
 
-    diagram: OPlusDiagram
-    sources: tuple[int, ...]
-    column_labels: dict[int, int]
-    trips: dict[int, int]
-    decorations: dict[int, str]
-    crossings: dict[tuple[int, int], tuple[int, int]]
+    _fields = ("diagram", "sources", "column_labels", "trips", "decorations", "crossings")
+
+    def __init__(self, diagram: OPlusDiagram, sources: tuple[int, ...],
+                 column_labels: dict[int, int], trips: dict[int, int], decorations: dict[int, str],
+                 crossings: dict[tuple[int, int], tuple[int, int]]) -> None:
+        self._set(diagram, sources, column_labels, trips, decorations, crossings)
 
 
 def pipe_dream(diagram: OPlusDiagram) -> PipeDream:

@@ -12,7 +12,6 @@ Random draws are derived deterministically: the sample for cell number
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -26,23 +25,25 @@ from .linalg import RationalMatrix, _cell_samples, _frac, _plucker_key, _sample_
     find_kernel_vector_with_signs, gr_equal, make_tp_matrix, plucker, positroid_membership, rref, \
     z_map
 from .plabic import bcfw_permutations, enumerate_bcfw_graphs, trip_permutation
+from .records import Record
 from .signs import m2_standard_basis, p_domino_basis, standard_basis_k2, var
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(Record):
     """Outcome of one experiment run.
 
     ``verdict`` is ``"pass"`` when every check held, ``"violation"`` when an
     asserted property failed, and ``"finding"`` for noteworthy behaviour that
-    no claim rules out (open cases, engineered counterexamples).
+    no claim rules out (open cases, engineered counterexamples).  Unlike the
+    other records it may be changed in place, so it has no hash.
     """
 
-    experiment: str
-    parameters: dict
-    verdict: str
-    witnesses: list
-    timing: float
+    _fields = ("experiment", "parameters", "verdict", "witnesses", "timing")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, experiment: str, parameters: dict, verdict: str, witnesses: list,
+                 timing: float) -> None:
+        self._set(experiment, parameters, verdict, witnesses, timing)
 
     def to_json(self) -> dict:
         # timing deliberately omitted: reruns must serialize identically

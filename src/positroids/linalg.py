@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -27,6 +26,7 @@ from .errors import (
     _list,
 )
 from .plabic import Network, _frac, build_network
+from .records import Record
 
 
 _ZERO = Fraction(0)
@@ -36,17 +36,15 @@ _ZERO = Fraction(0)
 # matrices
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Record):
     """Immutable grid of exact rationals; cols may be given for empty grids."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    cols: Optional[int] = None
+    _fields = ("entries", "cols")
 
-    def __post_init__(self) -> None:
-        grid = tuple(tuple(_frac(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", grid)
-        width = self.cols
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...],
+                 cols: Optional[int] = None) -> None:
+        grid = tuple(tuple(_frac(x) for x in row) for row in entries)
+        width = cols
         if grid:
             widths = {len(row) for row in grid}
             if len(widths) != 1:
@@ -58,7 +56,7 @@ class RationalMatrix:
                 raise ValueError(f"cols={width} but rows have {inferred} entries")
         elif width is None:
             width = 0
-        object.__setattr__(self, "cols", width)
+        self._set(grid, width)
 
     @classmethod
     def _built(cls, cols: int, ints, dens) -> "RationalMatrix":
@@ -247,17 +245,14 @@ def _maximal_minors(rows, width: int) -> list[int]:
 _MAX_COORDS = 1_000_000  # from_json lists every coordinate: bound what input can ask for
 
 
-@dataclass(frozen=True)
-class GrassmannPoint:
+class GrassmannPoint(Record):
     """Plücker vector in lex subset order, first nonzero entry scaled to 1."""
 
-    k: int
-    n: int
-    coords: tuple[Fraction, ...]
+    _fields = ("k", "n", "coords")
 
-    def __post_init__(self) -> None:
-        coords = tuple(_frac(x) for x in self.coords)
-        expected = math.comb(self.n, self.k)
+    def __init__(self, k: int, n: int, coords: tuple[Fraction, ...]) -> None:
+        coords = tuple(_frac(x) for x in coords)
+        expected = math.comb(n, k)
         if len(coords) != expected:
             raise ValueError(f"need {expected} coordinates, got {len(coords)}")
         lead = next((x for x in coords if x), None)
@@ -265,7 +260,7 @@ class GrassmannPoint:
             raise ValueError("all Plücker coordinates vanish")
         if lead != 1:
             coords = tuple(x / lead for x in coords)
-        object.__setattr__(self, "coords", coords)
+        self._set(k, n, coords)
 
     @classmethod
     def _built(cls, k: int, n: int, coords: tuple[Fraction, ...]) -> "GrassmannPoint":
@@ -360,16 +355,16 @@ def _boundary_matrix(network: Network, values: Mapping[str, object]) -> Rational
                                  tuple(row[s - 1] for row, s in zip(rows, network.sources)))
 
 
-@dataclass(frozen=True, eq=False)
-class CellSample:
-    """One point of a cell: a diagram, positive edge values, the matrix."""
+class CellSample(Record):
+    """One point of a cell: a diagram, positive edge values, the matrix; equal only to itself."""
 
-    diagram: OPlusDiagram
-    values: Mapping[str, Fraction]
-    matrix: RationalMatrix
+    _fields = ("diagram", "values", "matrix")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.values.values()):
+    def __init__(self, diagram: OPlusDiagram, values: Mapping[str, Fraction],
+                 matrix: RationalMatrix) -> None:
+        self._set(diagram, values, matrix)
+        if any(v <= 0 for v in values.values()):
             raise ValueError("edge variables must be strictly positive")
 
     def to_json(self) -> dict:

@@ -15,27 +15,32 @@ a tuple of images and a frozen set of white fixed points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import _int, _list
+from .records import Record
 
 
 BLACK = "black"
 WHITE = "white"
 
 
-@dataclass(frozen=True)
-class DecoratedPermutation:
+class DecoratedPermutation(Record):
     """A permutation of [n] with colored fixed points.
 
     ``images[i-1]`` is the image of ``i``.  Fixed points not listed in
     ``white_fixed`` are black.
     """
 
-    n: int
-    images: tuple[int, ...]
-    white_fixed: frozenset[int] = field(default_factory=frozenset)
+    _fields = ("n", "images", "white_fixed")
+
+    def __init__(self, n: int, images: tuple[int, ...],
+                 white_fixed: frozenset[int] = frozenset()) -> None:
+        store = object.__setattr__  # _set unrolled: the families build thousands
+        store(self, "n", n)
+        store(self, "images", images)
+        store(self, "white_fixed", white_fixed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n <= 0:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 from .diagrams import OPlusDiagram, is_le_diagram
@@ -33,15 +32,14 @@ from .errors import (
     _list,
 )
 from .permutations import BLACK, WHITE, DecoratedPermutation
+from .records import Record
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class PlabicGraph:
+class PlabicGraph(Record):
     """``colors`` and the four half-edge tuples of the module docstring: ints
     and strs only, so the collector never walks a cached family member."""
 
-    n: int
-    colors: Mapping[int, str]
+    _fields = ("n", "colors")
 
     def __init__(self, n, colors, edges, rotation) -> None:
         """Checked: edge j joins edges[j][0] (half-edge 2j) to edges[j][1] (half-edge 2j+1)."""
@@ -372,13 +370,15 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
 # recursive families
 
 
+@cache
 def base_bridge() -> PlabicGraph:
-    """The two-point graph: a single boundary-to-boundary edge."""
+    """The two-point graph: a single boundary-to-boundary edge, built once."""
     return PlabicGraph(2, {}, ((1, 2),), {1: (0,), 2: (1,)})
 
 
+@cache
 def base_square() -> PlabicGraph:
-    """The four-point square with alternating colors."""
+    """The four-point square with alternating colors, built once."""
     return PlabicGraph.from_neighbors(
         4,
         {-1: WHITE, -2: BLACK, -3: WHITE, -4: BLACK},
@@ -614,8 +614,7 @@ def _frac(value) -> Fraction:  # the float ban, for every module above this one
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Record):
     """Edge-weighted planar network read off a sorted diagram.
 
     Horizontal edges carry the variables, numbered row by row starting
@@ -628,13 +627,12 @@ class Network:
     that sum is worked out once per network, in ``_plan``.
     """
 
-    k: int
-    n: int
-    sources: tuple[int, ...]
-    sinks: Mapping[int, int]
-    variables: tuple[str, ...]
-    horizontal: tuple[tuple[str, tuple, tuple], ...]
-    vertical: tuple[tuple[tuple, tuple], ...]
+    _fields = ("k", "n", "sources", "sinks", "variables", "horizontal", "vertical")
+
+    def __init__(self, k: int, n: int, sources: tuple[int, ...], sinks: Mapping[int, int],
+                 variables: tuple[str, ...], horizontal: tuple[tuple[str, tuple, tuple], ...],
+                 vertical: tuple[tuple[tuple, tuple], ...]) -> None:
+        self._set(k, n, sources, sinks, variables, horizontal, vertical)
 
     def matrix(self, values: Mapping[str, object]) -> list[list[Fraction]]:
         """Boundary measurements: signed path sums, one row per source."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .linalg import _ZERO, RationalMatrix, _eliminate, _frac, _integer_kernel, \
     _primitive_rows, _sign, _solve
+from .records import Record
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
@@ -82,21 +82,18 @@ def var_bar(v) -> int:
 # dominoes
 
 
-@dataclass(frozen=True)
-class Domino:
+class Domino(Record):
     """Vector supported on {i, i+1}, or on {n} alone when i = n.
 
     The two entries must carry the same sign; the all-zero vector is
     admitted as a domino of sign "0".
     """
 
-    n: int
-    index: int
-    values: tuple
+    _fields = ("n", "index", "values")
 
-    def __post_init__(self) -> None:
-        vals = tuple(_frac(x) for x in self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, n: int, index: int, values: tuple) -> None:
+        vals = tuple(_frac(x) for x in values)
+        self._set(n, index, vals)
         if not 1 <= self.index <= self.n:
             raise ValueError(f"index {self.index} outside 1..{self.n}")
         expected = 1 if self.index == self.n else 2
@@ -256,20 +253,18 @@ def classify_k2(diagram: OPlusDiagram) -> int:
 # standard bases for two-row subspaces
 
 
-@dataclass(frozen=True)
-class K2Classification:
+class K2Classification(Record):
     """Distinguished spanning pair of a two-row subspace.
 
     d ends negative, e ends positive (orthodox) or zero (deviant); the
     four fundamental dominoes sit at indices i1 <= i2 <= i3 <= i4.
     """
 
-    cell_class: int
-    flavor: str
-    d: tuple
-    e: tuple
-    dominoes: tuple
-    indices: tuple
+    _fields = ("cell_class", "flavor", "d", "e", "dominoes", "indices")
+
+    def __init__(self, cell_class: int, flavor: str, d: tuple, e: tuple, dominoes: tuple,
+                 indices: tuple) -> None:
+        self._set(cell_class, flavor, d, e, dominoes, indices)
 
     @property
     def n(self) -> int:

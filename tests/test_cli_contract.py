@@ -284,8 +284,10 @@ def test_every_kind_and_arrow_is_pinned():
 # fresh processes: what a request imports, and that import order changes no byte
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
-# the modules a probe lists: the package's, and fractions
-_LISTED = "sorted(m for m in sys.modules if m.startswith('positroids') or m == 'fractions')"
+# the modules a probe lists: the package's, fractions, and dataclasses with the
+# inspect it pulls in (the records are plain classes so that no request pays for them)
+_LISTED = ("sorted(m for m in sys.modules if m.startswith('positroids')"
+           " or m in ('fractions', 'dataclasses', 'inspect'))")
 # run one request in this interpreter, then list the modules it loaded
 _PROBE = ("import sys\n"
           "from positroids import cli\n"
@@ -347,7 +349,8 @@ def test_a_verb_imports_only_what_it_uses(argv, unused):
     text = _pinned_input(argv, _FAMILIES[argv[2]]) if argv[0] in ("convert", "render") else ""
     code, modules = _loaded(argv, text)
     assert code == 0
-    assert not modules & unused, modules & unused
+    banned = unused | {"dataclasses", "inspect"}
+    assert not modules & banned, modules & banned
     # only a request that draws loads the drawers
     assert ("render" in modules) == (argv[0] == "render" or "ascii" in argv), modules
 

@@ -16,6 +16,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,12 +300,15 @@ def test_p_domino_basis_is_the_fraction_solve():
 # ----------------------------------------------------------------------
 # network matrices
 
-_CELLS = ([le_normalize(d) for d in enumerate_diagrams(8, 2, 4)]
-          + list(enumerate_diagrams(7, 3, 2)))
+
+@cache
+def _cells():
+    """Built on first use, so a fault in building them fails only the tests that use them."""
+    return [le_normalize(d) for d in enumerate_diagrams(8, 2, 4)] + enumerate_diagrams(7, 3, 2)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(_CELLS), st.data())
+@given(st.deferred(lambda: st.sampled_from(_cells())), st.data())
 def test_network_matrix_against_fraction_path_sums(cell, data):
     network = build_network(cell)
     values = {name: data.draw(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60)))
@@ -354,7 +358,7 @@ def test_network_plan_is_the_inline_set_up():
 
 
 def test_network_matrix_of_ones():
-    for cell in _CELLS:
+    for cell in _cells():
         network = build_network(cell)
         assert network.matrix(network.ones()) == fraction_path_sums(network, network.ones())
 
