@@ -3,12 +3,13 @@
 A graph is stored as a rotation system.  Boundary vertices are 1..n
 clockwise around the disk and always have degree one; internal vertices
 are negative integers carrying a color.  Edge j owns half-edges 2j and
-2j+1.  Four flat tuples of ints are the whole embedding: the owner of each
-half-edge (``_ends``), its clockwise successor at that vertex (``_next``,
-the permutation sigma of a combinatorial map), the first half-edge of each
-vertex in ``to_json()`` key order (``_firsts``) and the half-edge of each
-boundary vertex (``_bound``).  ``edges`` and ``rotation`` are views read
-off them on each access, never kept.
+2j+1.  Four flat tuples of ints and a string are the whole graph: the owner
+of each half-edge (``_ends``), its clockwise successor at that vertex
+(``_next``, the permutation sigma of a combinatorial map), the first
+half-edge of each vertex in ``to_json()`` key order (``_firsts``), the
+half-edge of each boundary vertex (``_bound``), and the color of each
+half-edge's owner (``_hue``: "b", "w", or "." on the boundary).  ``colors``,
+``edges`` and ``rotation`` are fresh views on each read, never kept.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .records import Record
 
 
 class PlabicGraph(Record):
-    """``colors`` and the four half-edge tuples of the module docstring: ints
-    and strs only, so the collector never walks a cached family member."""
+    """The four half-edge tuples and the ``_hue`` string of the module docstring:
+    the collector never walks a cached member, and no view writes through to it."""
 
     _fields = ("n", "colors")
+    _NAME = {"b": BLACK, "w": WHITE}  # a ``_hue`` character's color; "." has none
 
     def __init__(self, n, colors, edges, rotation) -> None:
         """Checked: edge j joins edges[j][0] (half-edge 2j) to edges[j][1] (half-edge 2j+1)."""
@@ -68,21 +70,28 @@ class PlabicGraph(Record):
         for v in colors:
             if not rotation.get(v):
                 raise ValueError(f"internal vertex {v} is isolated")
-        self._store(n, colors, ends, nxt, (halves[0] for halves in rotation.values()),
+        hue = "".join(colors[v][0] if v < 0 else "." for v in ends)  # every owner is checked
+        self._store(n, hue, ends, nxt, (halves[0] for halves in rotation.values()),
                     (rotation[b][0] for b in range(1, n + 1)))
 
     @classmethod
-    def _built(cls, n, colors, ends, nxt, firsts, bound) -> "PlabicGraph":
-        """Surgery output only: the patched tuples of a valid parent, valid by construction."""
+    def _built(cls, n, hue, ends, nxt, firsts, bound) -> "PlabicGraph":
+        """Surgery output only: the patched layout of a valid parent, valid by construction."""
         g = object.__new__(cls)
-        g._store(n, colors, ends, nxt, firsts, bound)
+        g._store(n, hue, ends, nxt, firsts, bound)
         return g
 
-    def _store(self, n, colors, ends, nxt, firsts, bound) -> None:
+    def _store(self, n, hue, ends, nxt, firsts, bound) -> None:
         # tuples: the GC untracks a tuple of ints, so cached members cost no GC walk
-        for name, value in zip(("n", "colors", "_canon", "_ends", "_next", "_firsts", "_bound"),
-                               (n, colors, None, *map(tuple, (ends, nxt, firsts, bound)))):
+        for name, value in zip(("n", "_hue", "_canon", "_ends", "_next", "_firsts", "_bound"),
+                               (n, hue, None, *map(tuple, (ends, nxt, firsts, bound)))):
             object.__setattr__(self, name, value)
+
+    @property
+    def colors(self) -> dict[int, str]:
+        """Each internal vertex's color, read off ``_hue``: a new dict per read."""
+        ends, hue, name = self._ends, self._hue, self._NAME
+        return {ends[h]: name[hue[h]] for h in self._firsts if ends[h] < 0}
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -93,14 +102,17 @@ class PlabicGraph(Record):
     @property
     def rotation(self) -> dict[int, tuple[int, ...]]:
         """Each vertex's half-edges clockwise by ``_next`` from its first: a new dict per read."""
-        ends, nxt, out = self._ends, self._next, {}
+        return {self._ends[h]: tuple(cycle) for h, cycle in self._cycles()}
+
+    def _cycles(self):
+        """Each vertex's first half-edge and its sigma-cycle as a list, in ``_firsts`` order."""
+        nxt = self._next
         for h in self._firsts:
             cycle, x = [h], nxt[h]
             while x != h:
                 cycle.append(x)
                 x = nxt[x]
-            out[ends[h]] = tuple(cycle)
-        return out
+            yield h, cycle
 
     # ------------------------------------------------------------------
     # structure
@@ -139,7 +151,7 @@ class PlabicGraph(Record):
         """
         if self._canon is not None:
             return self._canon
-        ends, nxt, colors = self._ends, self._next, self.colors
+        ends, nxt, hue, color = self._ends, self._next, self._hue, self._NAME.get
         canon: dict[int, int] = {}
         flat: list = []
         next_id = self.n
@@ -150,9 +162,8 @@ class PlabicGraph(Record):
             queue = deque([self._bound[b - 1]])
             while queue:
                 h = arrival = queue.popleft()
-                v = ends[h]
                 at = len(flat) + 1  # the degree's slot, filled once the cycle is walked
-                flat += (colors.get(v), 0)
+                flat += (color(hue[h]), 0)
                 while True:  # clockwise by sigma, from the arrival
                     u = ends[h ^ 1]
                     c = canon.get(u)
@@ -202,17 +213,18 @@ class PlabicGraph(Record):
                     half[v, u], half[u, v] = 2 * len(edges), 2 * len(edges) + 1
                     edges.append((v, u))
         rotation = {v: tuple(half[v, u] for u in nbrs) for v, nbrs in adjacency.items()}
-        return cls(n, dict(colors), tuple(edges), rotation)
+        return cls(n, colors, tuple(edges), rotation)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "internal": [
-                {"id": v, "color": self.colors[v]} for v in self.internal_vertices()
-            ],
-            "edges": [list(e) for e in self.edges],
-            "rotation": {str(v): list(h) for v, h in self.rotation.items()},
-        }
+        """One walk of sigma's cycles; internal vertices in descending id order."""
+        ends, hue, internal, rotation = self._ends, self._hue, [], {}
+        for h, cycle in self._cycles():
+            rotation[str(v := ends[h])] = cycle
+            if v < 0:
+                internal.append((v, self._NAME[hue[h]]))
+        internal.sort(reverse=True)
+        return {"n": self.n, "internal": [{"id": v, "color": c} for v, c in internal],
+                "edges": [[a, b] for a, b in zip(ends[::2], ends[1::2])], "rotation": rotation}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PlabicGraph":
@@ -245,10 +257,9 @@ def trip_permutation(graph: PlabicGraph) -> DecoratedPermutation:
         images.append(end := _trip_end(graph, i))
         if end == i:
             h = graph._bound[i - 1] ^ 1
-            neighbor = graph._ends[h]
-            if neighbor > 0 or graph._next[h] != h:  # a lollipop is its own sigma-cycle
+            if graph._ends[h] > 0 or graph._next[h] != h:  # a lollipop is its own sigma-cycle
                 raise NonLollipopFixedPoint(f"boundary {i} returns to itself without a lollipop")
-            if graph.colors[neighbor] == WHITE:
+            if graph._hue[h] == "w":
                 white.add(i)
     return DecoratedPermutation(graph.n, tuple(images), frozenset(white))
 
@@ -256,7 +267,7 @@ def trip_permutation(graph: PlabicGraph) -> DecoratedPermutation:
 def _trip_end(graph: PlabicGraph, b: int, back: bool = False) -> int:
     """Where the trip from boundary b ends, or with ``back`` where the one into b starts.
     Forward is sigma; back walks sigma's cycle round to the arrival (sigma twice if trivalent)."""
-    ends, nxt, colors = graph._ends, graph._next, graph.colors
+    ends, nxt, hue = graph._ends, graph._next, graph._hue
     cur = graph._bound[b - 1]
     while True:
         arriving = cur ^ 1
@@ -264,32 +275,30 @@ def _trip_end(graph: PlabicGraph, b: int, back: bool = False) -> int:
         if end > 0:
             return end
         cur = nxt[arriving]
-        if (colors[end] == BLACK) != back:
+        if (hue[arriving] == "b") != back:
             while nxt[cur] != arriving:
                 cur = nxt[cur]
 
 
 def k_statistic(graph: PlabicGraph) -> int:
     """Edge count minus black vertices minus white excess degree."""
-    colors = graph.colors
-    blacks = sum(1 for c in colors.values() if c == BLACK)
-    whites = len(colors) - blacks
-    white_excess = [*map(colors.get, graph._ends)].count(WHITE) - whites  # degrees minus one
-    return len(graph._ends) // 2 - blacks - white_excess
+    hue = graph._hue
+    vertices = "".join(map(hue.__getitem__, graph._firsts))  # one character per vertex
+    white_excess = hue.count("w") - vertices.count("w")  # degrees minus one
+    return len(hue) // 2 - vertices.count("b") - white_excess
 
 
 # ----------------------------------------------------------------------
 # boundary surgeries
 
 
-def _relabel_boundary(graph: PlabicGraph, i: int) -> tuple[dict, list]:
-    """Shift boundary labels above i up by one; returns mutable copies of the
-    colors and half-edge owners.  Boundary labels live only in the owners,
-    so relabelling patches one owner per shifted boundary."""
+def _relabel_boundary(graph: PlabicGraph, i: int) -> list:
+    """Shift boundary labels above i up by one in a mutable copy of the
+    half-edge owners, the labels' only store: one owner per shifted boundary."""
     ends = list(graph._ends)
     for b, h in enumerate(graph._bound[i:], i + 2):
         ends[h] = b
-    return dict(graph.colors), ends
+    return ends
 
 
 def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
@@ -305,9 +314,8 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
         raise ValueError(f"bad color {color!r}")
     h_i = graph._bound[i - 1]
     h_far, cut = h_i ^ 1, h_i & ~1
-    colors, ends = _relabel_boundary(graph, i)
-    v_new = min([0, *colors]) - 1
-    colors[v_new] = color
+    ends = _relabel_boundary(graph, i)
+    v_new = min(0, *ends) - 1
     far = ends[h_far]
     # the old boundary edge goes and three edges are appended: later halves
     # move down by two, and the old edge's halves become the far end's and
@@ -322,7 +330,9 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     bound.insert(i, t + 5)
     del ends[cut:cut + 2]
     ends += [far, v_new, v_new, i, v_new, i + 1]
-    return PlabicGraph._built(graph.n + 1, colors, ends, nxt,
+    hue, c = graph._hue, color[0]
+    hue = f"{hue[:cut]}{hue[cut + 2:]}{hue[h_far]}{c}{c}.{c}."
+    return PlabicGraph._built(graph.n + 1, hue, ends, nxt,
                               [*map(moved.__getitem__, graph._firsts), t + 1, t + 5], bound)
 
 
@@ -344,11 +354,10 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     if v > 0 or nxt[h_to_f] != h_v or h_v in (h_to_e, h_to_f):
         raise BadAttachment(f"boundary {i} is not attached to a trivalent vertex")
 
-    colors, ends = _relabel_boundary(graph, i)
-    del colors[v]
-    low = min([0, *colors]) - 1
+    ends = _relabel_boundary(graph, i)
+    ends[h_to_e] = ends[h_to_f] = ends[h_v] = 0  # v goes
+    low = min(0, *ends) - 1
     a, b, c, d = low, low - 1, low - 2, low - 3
-    colors.update({a: BLACK, b: WHITE, c: BLACK, d: WHITE})
 
     # the old vertex's three edges get new ends in place, so half-edge ids
     # are kept and no edge is renumbered; the square's five edges are
@@ -356,13 +365,15 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     t = len(ends)
     ends[h_to_e], ends[h_to_f], ends[h_v] = a, b, c
     ends += [a, b, b, c, c, d, d, a, d, i + 1]
+    hue = bytearray(graph._hue, "ascii") + b"bwwbbwwbw."
+    hue[h_to_e], hue[h_to_f], hue[h_v] = b"bwb"
     nxt[h_to_e], nxt[h_to_f], nxt[h_v] = t, t + 2, t + 4
     nxt += [t + 7, h_to_f, t + 1, h_v, t + 3, t + 8, t + 5, h_to_e, t + 6, t + 9]
     firsts = list(graph._firsts)
     firsts.remove(*{h_v, h_to_e, h_to_f}.intersection(firsts))  # v's first half goes
     firsts += [h_to_e, h_to_f, t + 3, t + 6, t + 9]
     bound = graph._bound
-    return PlabicGraph._built(graph.n + 1, colors, ends, nxt, firsts,
+    return PlabicGraph._built(graph.n + 1, hue.decode(), ends, nxt, firsts,
                               (*bound[:i], t + 9, *bound[i:]))
 
 
@@ -379,20 +390,9 @@ def base_bridge() -> PlabicGraph:
 @cache
 def base_square() -> PlabicGraph:
     """The four-point square with alternating colors, built once."""
-    return PlabicGraph.from_neighbors(
-        4,
-        {-1: WHITE, -2: BLACK, -3: WHITE, -4: BLACK},
-        {
-            1: (-1,),
-            2: (-2,),
-            3: (-3,),
-            4: (-4,),
-            -1: (1, -2, -4),
-            -2: (-1, 2, -3),
-            -3: (-4, -2, 3),
-            -4: (4, -1, -3),
-        },
-    )
+    adjacency = {b: (-b,) for b in range(1, 5)}  # then each corner's neighbors clockwise
+    adjacency.update({-1: (1, -2, -4), -2: (-1, 2, -3), -3: (-4, -2, 3), -4: (4, -1, -3)})
+    return PlabicGraph.from_neighbors(4, {-1: WHITE, -2: BLACK, -3: WHITE, -4: BLACK}, adjacency)
 
 
 _FAMILY_CACHE: dict[tuple[int, int, int], tuple[PlabicGraph, ...]] = {}

@@ -85,7 +85,7 @@ def _svg_graph(graph: PlabicGraph) -> str:
         pos[b] = (cx + radius * math.cos(ang), cy - radius * math.sin(ang))
     depth = {b: 0 for b in range(1, graph.n + 1)}  # distance from the boundary
     queue = deque(depth)
-    rotation = graph.rotation  # a view rebuilt on each read: read it once
+    rotation, colors = graph.rotation, graph.colors  # views rebuilt on each read: read once
     while queue:
         v = queue.popleft()
         for u in (graph.vertex_of(h ^ 1) for h in rotation[v]):
@@ -116,7 +116,7 @@ def _svg_graph(graph: PlabicGraph) -> str:
             )
         else:  # the colours are "black" and "white", SVG's names for them
             body.append(
-                f'<circle cx="{x:.1f}" cy="{y:.1f}" r="6" fill="{graph.colors[v]}" '
+                f'<circle cx="{x:.1f}" cy="{y:.1f}" r="6" fill="{colors[v]}" '
                 'stroke="black"/>'
             )
     return _svg(f"{2 * cx:.0f}", f"{2 * cy:.0f}", body, sep="")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -474,6 +475,22 @@ class TestSerialization:
         )
         assert relabeled == sq
         assert hash(relabeled) == hash(sq)
+
+    def test_json_ids_far_apart_round_trip(self):
+        # the layout is sized by the edge count, never by how large an id is:
+        # a one-line input naming -10**12 must not allocate by that size
+        far = -(10**12)
+        text = json.dumps({
+            "n": 3,
+            "internal": [{"id": -7, "color": WHITE}, {"id": far, "color": BLACK}],
+            "edges": [[1, -7], [-7, 2], [-7, far], [far, 3]],
+            "rotation": {"1": [0], "2": [3], "3": [7], "-7": [1, 2, 4], str(far): [5, 6]},
+        })
+        start = time.perf_counter()
+        g = PlabicGraph.from_json(json.loads(text))
+        assert json.dumps(g.to_json()) == text
+        assert g.colors == {-7: WHITE, far: BLACK} and trip_permutation(g).images == (2, 3, 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_distinct_graphs_differ(self):
         a, b = enumerate_bcfw_graphs(5, 2, 2)[:2]

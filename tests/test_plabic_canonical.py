@@ -137,9 +137,10 @@ def test_surgery_output_passes_the_public_check():
             assert_checked(g)
 
 
-def renumbering_split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
+def renumbering_split(graph: PlabicGraph, i: int, color: str) -> tuple[PlabicGraph, dict]:
     """`split` as first written, kept as an oracle: append the three new
-    edges, then renumber every later half-edge in every rotation."""
+    edges, then renumber every later half-edge in every rotation.  Returns
+    the checked build and the color dict it was built from."""
     edges, rotation = list(graph.edges), graph.rotation
     for b in range(i + 1, graph.n + 1):
         h = rotation[b][0]
@@ -161,13 +162,14 @@ def renumbering_split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     del edges[old_edge]
     rotation = {v: tuple(h - 2 if h > 2 * old_edge else h for h in halves)
                 for v, halves in rotation.items()}
-    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
+    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation), colors
 
 
-def reference_blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
+def reference_blow_up(graph: PlabicGraph, i: int) -> tuple[PlabicGraph, dict]:
     """`blow_up` on edge pairs, kept as an oracle: the old vertex's three
     edges end at the square's corners instead, the square's five edges are
-    appended, and the checked constructor derives the half-edge owners."""
+    appended, and the checked constructor derives the half-edge owners.
+    Returns the checked build and the color dict it was built from."""
     edges, rotation = list(graph.edges), graph.rotation
     for b in range(i + 1, graph.n + 1):
         h = rotation[b][0]
@@ -198,7 +200,16 @@ def reference_blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     rotation[c] = (half[c, b], h_i ^ 1, half[c, d])
     rotation[d] = (half[d, a], half[d, c], half[d, i + 1])
     rotation[i + 1] = (half[i + 1, d],)
-    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation)
+    return PlabicGraph(graph.n + 1, colors, tuple(edges), rotation), colors
+
+
+def vertex_colors(g: PlabicGraph) -> dict:
+    """Each internal vertex's color read at every half-edge it owns, which
+    must agree; the boundary's half-edges must read "."."""
+    seen: dict = {}
+    for v, c in zip(g._ends, g._hue):
+        assert seen.setdefault(v, c) == c and (c == ".") == (v > 0), (v, c)
+    return {v: {"b": BLACK, "w": WHITE}[c] for v, c in seen.items() if v < 0}
 
 
 def test_surgeries_at_every_boundary_match_the_checked_constructor():
@@ -214,14 +225,14 @@ def test_surgeries_at_every_boundary_match_the_checked_constructor():
         for i in range(1, g.n + 1):
             for color in (WHITE, BLACK):
                 child = split(g, i, color)
-                oracle = renumbering_split(g, i, color)
-                assert layout(child) == layout(oracle) and child.colors == oracle.colors
+                oracle, colors = renumbering_split(g, i, color)
+                assert layout(child) == layout(oracle) and vertex_colors(child) == colors
                 splits += 1
             v = g.boundary_neighbor(i)
             if v < 0 and g.degree(v) == 3:
                 child = blow_up(g, i)
-                oracle = reference_blow_up(g, i)
-                assert layout(child) == layout(oracle) and child.colors == oracle.colors
+                oracle, colors = reference_blow_up(g, i)
+                assert layout(child) == layout(oracle) and vertex_colors(child) == colors
                 blow_ups += 1
             else:
                 with pytest.raises(BadAttachment):
@@ -243,7 +254,8 @@ def test_cached_members_hold_untracked_tuples():
 def test_cached_members_are_rotation_systems():
     # _next is sigma: a permutation of the half-edges whose cycles are the
     # vertices; _firsts names each vertex once, in rotation (to_json) key
-    # order; _bound[b-1] is boundary b's half-edge; no rotation dict is kept
+    # order; _bound[b-1] is boundary b's half-edge; _hue[h] is the color of
+    # h's owner, "." on the boundary; no rotation or color dict is kept
     for family in families_up_to(11):
         for g in enumerate_bcfw_graphs(*family):
             rotation = g.rotation  # each first half's sigma-cycle
@@ -256,7 +268,10 @@ def test_cached_members_are_rotation_systems():
             assert sorted(h for cycle in rotation.values() for h in cycle) == sorted(g._next)
             assert [g._ends[h] for h in g._bound] == list(range(1, g.n + 1))
             assert all(type(x) is int for t in layout(g) for x in t)
-            assert [k for k, v in vars(g).items() if isinstance(v, dict)] == ["colors"]
+            assert not [k for k, v in vars(g).items() if isinstance(v, dict)]
+            assert type(g._hue) is str and len(g._hue) == len(g._ends)
+            assert [h for h, c in enumerate(g._hue) if c == "."] == [
+                h for h, v in enumerate(g._ends) if v > 0]
 
 
 def test_cached_members_store_no_edge_pairs():
@@ -270,6 +285,27 @@ def test_cached_members_store_no_edge_pairs():
         assert not any(map(is_pairs, gc.get_referents(g)))
         assert not any(map(is_pairs, vars(g).values()))
         assert g.edges == PlabicGraph.from_json(g.to_json()).edges
+
+
+def test_shared_graphs_cannot_be_changed():
+    # enumerate_bcfw_graphs returns the cached members themselves, and every
+    # tree_to_graph starts from the one base_square(): a write through the
+    # colors view or to an attribute must not reach later calls
+    trees = enumerate_trees(6, 1)
+    requests = {
+        (4, 2): lambda: [g.to_json() for g in enumerate_bcfw_graphs(4, 2, 4)],
+        (6, 3): lambda: [g.to_json() for g in enumerate_bcfw_graphs(6, 3, 4)],
+        "trees": lambda: [tree_to_graph(t).to_json() for t in trees],
+    }
+    before = {name: request() for name, request in requests.items()}
+    for g in (enumerate_bcfw_graphs(4, 2, 4)[0], base_square()):
+        for v in g.internal_vertices():
+            g.colors[v] = WHITE if g.colors[v] == BLACK else BLACK
+        g.colors.clear()
+        for name in ("colors", "_hue", "_ends"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, getattr(g, name))
+    assert {name: request() for name, request in requests.items()} == before
 
 
 def renamed(g: PlabicGraph, rng: random.Random) -> PlabicGraph:
