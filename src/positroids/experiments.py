@@ -143,17 +143,17 @@ def disjointness_experiment(n: int, k: int, m: int,
                 m2_standard_basis(point.matrix, cell)
             elif k == 2:
                 standard_basis_k2(point.matrix, diagram)
-            image = z_map(z, point.matrix).coords  # RankLoss on a rank-deficient sample
-            # keyed on exact (numerator, denominator) pairs, which hash several times
-            # faster than Fractions or strings; sources are compared only where images meet
+            image = z_map(z, point.matrix)  # RankLoss on a rank-deficient sample
+            # keyed on the image's primitive integer Plücker vector, equal exactly when
+            # the points are; sources are compared only where images meet
             entry = (ci, s, point.matrix)
-            prior = seen.setdefault(tuple(map(Fraction.as_integer_ratio, image)), entry)
+            prior = seen.setdefault(image._ints, entry)
             if prior is not entry and _plucker_key(prior[2]) != _plucker_key(point.matrix):
                 verdict = "violation"
                 witnesses.append({
                     "first": {"cell": prior[0], "sample": prior[1]},
                     "second": {"cell": ci, "sample": s},
-                    "image": [str(c) for c in image],
+                    "image": [str(c) for c in image.coords],
                     "matrix": point.matrix.to_json(),
                 })
     return ExperimentReport(

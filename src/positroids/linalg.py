@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .diagrams import OPlusDiagram
@@ -246,7 +247,8 @@ _MAX_COORDS = 1_000_000  # from_json lists every coordinate: bound what input ca
 
 
 class GrassmannPoint(Record):
-    """Plücker vector in lex subset order, first nonzero entry scaled to 1."""
+    """Plücker vector in lex subset order, first nonzero entry scaled to 1.  A built point
+    keeps ``_ints`` (primitive, lead > 0) and makes the Fraction ``coords`` on first read."""
 
     _fields = ("k", "n", "coords")
 
@@ -263,11 +265,19 @@ class GrassmannPoint(Record):
         self._set(k, n, coords)
 
     @classmethod
-    def _built(cls, k: int, n: int, coords: tuple[Fraction, ...]) -> "GrassmannPoint":
-        """Package-built values only: C(n, k) Fractions, the first nonzero one 1."""
+    def _built(cls, k: int, n: int, ints: tuple[int, ...]) -> "GrassmannPoint":
+        """Package-built values only: C(n, k) coprime ints, the first nonzero one positive."""
         point = object.__new__(cls)
-        point.__dict__.update(k=k, n=n, coords=coords)
+        point.__dict__.update(k=k, n=n, _ints=ints)
         return point
+
+    def __getattr__(self, name: str):  # the form a point was not made in, on first read
+        if name == "coords" and "_ints" in self.__dict__:
+            lead = next(filter(None, self._ints))
+            return self.__dict__.setdefault(name, tuple(Fraction(x, lead) for x in self._ints))
+        if name == "_ints" and "coords" in self.__dict__:
+            return self.__dict__.setdefault(name, _primitive_rows((self.coords,))[0])
+        raise AttributeError(name)
 
     def subsets(self) -> list[tuple[int, ...]]:
         return _lex_subsets(self.n, self.k)
@@ -279,7 +289,7 @@ class GrassmannPoint(Record):
     @property
     def support(self) -> frozenset:
         return frozenset(
-            s for s, x in zip(self.subsets(), self.coords) if x
+            s for s, x in zip(self.subsets(), self._ints) if x
         )
 
     def to_json(self) -> dict:
@@ -307,35 +317,31 @@ class GrassmannPoint(Record):
         return cls(k, n, tuple(table.values()))
 
 
-def _lead(minors: list[int], rows: int) -> int:
+def _key(rows, width: int) -> tuple[int, ...]:
+    """The maximal minors of integer rows as a primitive vector with a positive lead:
+    two matrices have equal keys exactly when ``plucker`` gives them equal points."""
+    minors = _maximal_minors(rows, width)
     lead = next((x for x in minors if x), None)
     if lead is None:
-        raise RankDeficient(f"matrix has rank below {rows}")
-    return lead
-
-
-def _point(minors: list[int], k: int, n: int) -> GrassmannPoint:
-    lead = _lead(minors, k)
-    return GrassmannPoint._built(k, n, tuple(Fraction(x, lead) if x else _ZERO for x in minors))
+        raise RankDeficient(f"matrix has rank below {len(rows)}")
+    g = math.gcd(*minors) if lead > 0 else -math.gcd(*minors)
+    return tuple(x // g for x in minors)
 
 
 def plucker(matrix: RationalMatrix) -> GrassmannPoint:
     """Projective vector of maximal minors of a full-row-rank matrix."""
-    return _point(_maximal_minors(matrix._ints, matrix.cols), matrix.rows, matrix.cols)
+    return GrassmannPoint._built(matrix.rows, matrix.cols, _key(matrix._ints, matrix.cols))
 
 
 def _plucker_key(matrix: RationalMatrix) -> tuple[int, ...]:
-    """The primitive integer Plücker vector with a positive lead: two matrices
-    have equal keys exactly when ``plucker`` gives them equal points."""
-    minors = _maximal_minors(matrix._ints, matrix.cols)
-    g = math.gcd(*minors) * _sign(_lead(minors, matrix.rows))
-    return tuple(x // g for x in minors)
+    """``plucker(matrix)._ints``, without a point."""
+    return _key(matrix._ints, matrix.cols)
 
 
 def gr_equal(p: GrassmannPoint, q: GrassmannPoint) -> bool:
     if (p.k, p.n) != (q.k, q.n):
         raise ShapeMismatch(f"({p.k},{p.n}) vs ({q.k},{q.n})")
-    return p.coords == q.coords
+    return p._ints == q._ints
 
 
 # ----------------------------------------------------------------------
@@ -344,19 +350,21 @@ def gr_equal(p: GrassmannPoint, q: GrassmannPoint) -> bool:
 
 def parameterize(diagram: OPlusDiagram, values: Mapping[str, object]) -> RationalMatrix:
     """Boundary-measurement matrix of a sorted diagram's network."""
-    return _boundary_matrix(build_network(diagram), values)
+    network = build_network(diagram)
+    return _boundary_matrix(network, network._int_rows(values))
 
 
-def _boundary_matrix(network: Network, values: Mapping[str, object]) -> RationalMatrix:
-    """``parameterize`` for a network already built: the network's integer rows
-    made primitive, each over its entry at its own source, never re-cleared."""
-    rows = tuple(map(_primitive, network._int_rows(values)))
+def _boundary_matrix(network: Network, rows) -> RationalMatrix:
+    """The matrix of a network already built, from its integer rows: made
+    primitive, each over its entry at its own source, never re-cleared."""
+    rows = tuple(map(_primitive, rows))
     return RationalMatrix._built(network.n, rows,
                                  tuple(row[s - 1] for row, s in zip(rows, network.sources)))
 
 
 class CellSample(Record):
-    """One point of a cell: a diagram, positive edge values, the matrix; equal only to itself."""
+    """One point of a cell: a diagram, positive edge values, the matrix; equal only to
+    itself.  A sampled point keeps its draws, int pairs (p, q), until ``values`` is read."""
 
     _fields = ("diagram", "values", "matrix")
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -366,6 +374,19 @@ class CellSample(Record):
         self._set(diagram, values, matrix)
         if any(v <= 0 for v in values.values()):
             raise ValueError("edge variables must be strictly positive")
+
+    @classmethod
+    def _built(cls, diagram: OPlusDiagram, names, draws, matrix) -> "CellSample":
+        """Package-built values only: one pair of positive ints per name."""
+        sample = object.__new__(cls)
+        sample.__dict__.update(diagram=diagram, matrix=matrix, _names=names, _draws=draws)
+        return sample
+
+    def __getattr__(self, name: str):  # a sampled point's values, on first read
+        if name != "values" or "_draws" not in self.__dict__:
+            raise AttributeError(name)
+        return self.__dict__.setdefault("values", {
+            v: Fraction(p, q) for v, (p, q) in zip(self._names, self._draws)})
 
     def to_json(self) -> dict:
         return {
@@ -386,20 +407,21 @@ def sample_cell(diagram: OPlusDiagram, rng=None) -> CellSample:
 
 
 def _cell_samples(diagram: OPlusDiagram, rngs: Iterable) -> Iterator[CellSample]:
-    """``sample_cell`` for each rng in turn, the same draws on one network."""
+    """``sample_cell`` for each rng in turn, the same draws on one network:
+    p then q for each variable in order, kept as ints from draw to matrix."""
     network = build_network(diagram)
     for rng in rngs:
         if rng is None or isinstance(rng, int):
             rng = random.Random(rng or 0)
-        values = {name: Fraction(rng.randint(1, 50), rng.randint(1, 50))
-                  for name in network.variables}
-        yield CellSample(diagram, values, _boundary_matrix(network, values))
+        draws = [(rng.randint(1, 50), rng.randint(1, 50)) for _ in network.variables]
+        matrix = _boundary_matrix(network, network._pair_rows(draws))
+        yield CellSample._built(diagram, network.variables, draws, matrix)
 
 
 @lru_cache(maxsize=None)
 def _unit_support(diagram: OPlusDiagram) -> frozenset:
     network = build_network(diagram)
-    return plucker(_boundary_matrix(network, network.ones())).support
+    return plucker(_boundary_matrix(network, network._int_rows(network.ones()))).support
 
 
 def positroid_membership(matrix: RationalMatrix, diagram: OPlusDiagram) -> bool:
@@ -409,7 +431,7 @@ def positroid_membership(matrix: RationalMatrix, diagram: OPlusDiagram) -> bool:
     if math.comb(diagram.n, diagram.k) > _MAX_COORDS:  # refused before any minor
         raise BadRange(f"C({diagram.n}, {diagram.k}) minors exceed {_MAX_COORDS}")
     point = plucker(matrix)
-    if any(x < 0 for x in point.coords):
+    if any(x < 0 for x in point._ints):
         return False
     return point.support == _unit_support(diagram)
 
@@ -450,9 +472,9 @@ def z_map(z: RationalMatrix, v: RationalMatrix) -> GrassmannPoint:
     if v.cols != z.cols:
         raise ShapeMismatch(f"ambient sizes differ: {v.cols} vs {z.cols}")
     # one scale for all of z: scaling its rows apart would move the point
-    image = [[sum(a * b for a, b in zip(row, z_row)) for z_row in z._scaled] for row in v._ints]
+    image = [[sum(map(mul, row, z_row)) for z_row in z._scaled] for row in v._ints]
     try:
-        return _point(_maximal_minors(image, z.rows), v.rows, z.rows)
+        return GrassmannPoint._built(v.rows, z.rows, _key(image, z.rows))
     except RankDeficient as exc:
         raise RankLoss("the map dropped rank; check the preconditions") from exc
 

@@ -104,10 +104,10 @@ class PlabicGraph(Record):
         """Each vertex's half-edges clockwise by ``_next`` from its first: a new dict per read."""
         return {self._ends[h]: tuple(cycle) for h, cycle in self._cycles()}
 
-    def _cycles(self):
-        """Each vertex's first half-edge and its sigma-cycle as a list, in ``_firsts`` order."""
+    def _cycles(self, firsts=()):
+        """Each first half-edge (all of ``_firsts`` by default) and its sigma-cycle as a list."""
         nxt = self._next
-        for h in self._firsts:
+        for h in firsts or self._firsts:
             cycle, x = [h], nxt[h]
             while x != h:
                 cycle.append(x)
@@ -121,10 +121,14 @@ class PlabicGraph(Record):
         return self._ends[half]
 
     def degree(self, v: int) -> int:
-        return len(self.rotation[v])
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self._ends[h ^ 1] for h in self.rotation[v])
+        """In ``rotation[v]`` order, walking v's sigma-cycle only."""
+        for h in self._firsts:
+            if self._ends[h] == v:
+                return tuple(self._ends[x ^ 1] for x in next(self._cycles((h,)))[1])
+        raise KeyError(v)
 
     def boundary_neighbor(self, i: int) -> int:
         """The unique vertex attached to boundary i."""
@@ -624,7 +628,8 @@ class Network(Record):
     Sources index the matrix rows, every boundary label a column.
     ``matrix`` sums the paths on integers, the weights written over one
     common denominator, and divides once per entry; the value-free part of
-    that sum is worked out once per network, in ``_plan``.
+    that sum is worked out once per network, in ``_plan``.  Sampled weights
+    enter as int pairs at ``_pair_rows``, the core that ``_int_rows`` feeds.
     """
 
     _fields = ("k", "n", "sources", "sinks", "variables", "horizontal", "vertical")
@@ -664,12 +669,14 @@ class Network(Record):
         missing = [name for name in self.variables if name not in values]
         if missing:
             raise MissingVariable(f"no value for {', '.join(missing)}")
-        vals = [_frac(values[name]) for name in self.variables]
+        return self._pair_rows([_frac(values[name]).as_integer_ratio() for name in self.variables])
+
+    def _pair_rows(self, pairs) -> list[list[int]]:
+        """The integer core of ``_int_rows``: one weight p/q per variable, as ints (p, q)."""
         # integer weights over one common denominator D; a path sum taking at
         # most h horizontal edges is kept as an integer numerator over D**h
-        scale = math.lcm(*(v.denominator for v in vals))
-        weight = {name: v.numerator * (scale // v.denominator)
-                  for name, v in zip(self.variables, vals)}
+        scale = math.lcm(*(q for _, q in pairs))
+        weight = {name: p * (scale // q) for name, (p, q) in zip(self.variables, pairs)}
         boxes, starts = self._plan
 
         paths: dict[tuple, tuple[int, dict[int, int]]] = {}

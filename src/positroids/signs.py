@@ -316,9 +316,11 @@ def _candidate_rays(v, w) -> list[tuple[int, ...]]:
     return list(rays)
 
 
-def _independent(dominoes) -> bool:
-    pivots, _, _ = _eliminate(_primitive_rows([d.vector() for d in dominoes]))
-    return len(pivots) == len(dominoes)
+def _independent(n: int, pieces) -> bool:
+    """Whether dominoes are linearly independent, each given as (i, v): a
+    nonzero multiple of the integer vector v's entries at i and i + 1."""
+    grid = [[v[j] if i - 1 <= j <= i else 0 for j in range(n)] for i, v in pieces]
+    return len(_eliminate(grid)[0]) == len(grid)
 
 
 # Every candidate ray starts positive, so of a ray and its negative only the
@@ -330,20 +332,19 @@ def _orthodox_assemblies(rays, n):
     for ray in rays:
         split = ray[-1] and _positive_domino_pair(ray[:-1])
         if split:
-            (d_hits if ray[-1] < 0 else e_hits).append((_unit_scale(ray), split))
+            (d_hits if ray[-1] < 0 else e_hits).append((ray, split))
     out = []
-    for d, (i1, i2) in d_hits:
-        for e, (i3, i4) in e_hits:
-            if i2 > i3:
+    for dray, (i1, i2) in d_hits:
+        for eray, (i3, i4) in e_hits:
+            if i2 > i3 or not _independent(n, ((i1, dray), (i2, dray), (i3, eray), (i4, eray))):
                 continue
+            d, e = _unit_scale(dray), _unit_scale(eray)
             doms = (
                 Domino(n, i1, (d[i1 - 1], d[i1])),
                 Domino(n, i2, (d[i2 - 1], d[i2])),
                 Domino(n, i3, (e[i3 - 1], e[i3])),
                 Domino(n, i4, (e[i4 - 1], e[i4])),
             )
-            if not _independent(doms):
-                continue
             gap = i3 - i2
             cls = 3 if gap == 0 else 2 if gap == 1 else 1
             out.append(
@@ -383,7 +384,8 @@ def _deviant_assemblies(rays, n):
             if split is None:
                 continue
             i2, i3 = split
-            if not (i1 < i2 and i2 + 1 < i3 and i3 <= i4):
+            if not (i1 < i2 and i2 + 1 < i3 and i3 <= i4) \
+                    or not _independent(n, ((i1, dvec), (i2, g), (i3, g), (i4, dvec))):
                 continue
             e = tuple(Fraction(x, lead) for x in raw)
             doms = (
@@ -392,8 +394,6 @@ def _deviant_assemblies(rays, n):
                 Domino(n, i3, (Fraction(g[i3 - 1], den), Fraction(g[i3], den))),
                 d4,
             )
-            if not _independent(doms):
-                continue
             g12, g43 = i2 - i1, i4 - i3
             if g12 >= 2:
                 cls = 4 if g43 == 0 else 5 if g43 == 1 else 6
@@ -433,7 +433,8 @@ def standard_basis_k2(
         found.extend(_deviant_assemblies(rays, n))
     if want is not None:
         found = [r for r in found if r.cell_class == want]
-    found = list(dict.fromkeys(found))
+    if len(found) > 1:
+        found = list(dict.fromkeys(found))
     if len(found) != 1:
         raise TemplateMismatch(f"{len(found)} template assemblies fit")
     return found[0]

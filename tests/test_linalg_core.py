@@ -6,8 +6,9 @@ against the Fraction Gauss–Jordan elimination it replaced; Plücker vectors
 of sampled cells against the three-term Plücker relations; the integer Gram
 projection and fraction-free simplex of ``find_kernel_vector_with_signs``
 against the Fraction versions they replaced; package-built matrices and
-points against the public constructors, and samples drawn on one shared
-network against samples that each built their own.
+points against the public constructors, samples drawn on one shared
+network against samples that each built their own, and the integer draws,
+points and image keys against the Fraction pipeline they replaced.
 """
 
 import hashlib
@@ -26,8 +27,10 @@ from positroids.errors import NotTotallyPositive, RankDeficient, RankLoss
 from positroids.experiments import conjecture_sweeps, disjointness_experiment, \
     m3_counterexample
 from positroids.linalg import (
+    CellSample,
     GrassmannPoint,
     RationalMatrix,
+    _boundary_matrix,
     _cell_samples,
     _maximal_minors,
     _phase1_feasible,
@@ -497,3 +500,73 @@ def test_sample_entries_are_made_on_first_read():
 def test_plucker_key_of_a_rank_deficient_matrix():
     with pytest.raises(RankDeficient):
         _plucker_key(RationalMatrix(((1, 2, 3), (2, 4, 6))))
+
+
+def fraction_z_map(z, v):
+    """The image's coords as ``z_map`` made them before points kept integers:
+    each minor over the first nonzero one, as a Fraction."""
+    image = [[sum(a * b for a, b in zip(row, z_row)) for z_row in z._scaled] for row in v._ints]
+    minors = _maximal_minors(image, z.rows)
+    lead = next(x for x in minors if x)
+    return tuple(Fraction(x, lead) if x else Fraction(0) for x in minors)
+
+
+def partition(keys):
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize("n, k, m", [(8, 2, 4), (7, 1, 4), (9, 3, 2), (8, 4, 2)])
+def test_integer_sampling_matches_the_fraction_pipeline(n, k, m):
+    z = make_tp_matrix(k + m, n)
+    samples = []
+    for ci, diagram in enumerate(enumerate_diagrams(n, k, m)):
+        cell = le_normalize(diagram) if m == 4 else diagram
+        network = build_network(cell)
+        seeds = [_sample_seed(seed, ci, s) for seed in (0, 7) for s in range(2)]
+        for seed, sample in zip(seeds, _cell_samples(cell, seeds)):
+            assert "values" not in vars(sample) and "entries" not in vars(sample.matrix)
+            rng = random.Random(seed)
+            values = {name: Fraction(rng.randint(1, 50), rng.randint(1, 50))
+                      for name in network.variables}
+            assert sample.values == values and vars(sample)["values"] is sample.values
+            assert sample.matrix == _boundary_matrix(network, network._int_rows(values)) \
+                == RationalMatrix(tuple(map(tuple, network.matrix(values))), cols=n)
+            assert sample.to_json() == CellSample(cell, values, sample.matrix).to_json()
+            # the same point again: two rows swapped, or a single row times -3,
+            # so that every minor changes sign
+            rows = sample.matrix.entries
+            moved = RationalMatrix((rows[1], rows[0]) + rows[2:], cols=n) if k > 1 else \
+                RationalMatrix(tuple(tuple(-3 * x for x in row) for row in rows), cols=n)
+            samples += [sample.matrix, moved]
+    images = [z_map(z, matrix) for matrix in samples]
+    old = [fraction_z_map(z, matrix) for matrix in samples]
+    assert [image.coords for image in images] == old
+    assert partition([image._ints for image in images]) \
+        == partition([tuple(map(Fraction.as_integer_ratio, coords)) for coords in old])
+    assert all(len(group) == 2 for group in partition([image._ints for image in images]))
+    for image in images[:40]:
+        checked = GrassmannPoint(image.k, image.n, image.coords)
+        read = GrassmannPoint.from_json(json.loads(json.dumps(image.to_json())))
+        for twin in (checked, read):
+            assert "_ints" not in vars(twin)
+            assert twin == image and hash(twin) == hash(image) and twin._ints == image._ints
+            assert twin.to_json() == image.to_json() and repr(twin) == repr(image)
+
+
+def test_point_coords_are_made_on_first_read():
+    z = make_tp_matrix(6, 9)
+    matrix = sample_cell(le_normalize(enumerate_diagrams(9, 2, 4)[3]), rng=5).matrix
+    for point in (plucker(matrix), z_map(z, matrix)):
+        assert "coords" not in vars(point) and point.support
+        assert next(filter(None, point._ints)) > 0 and math.gcd(*point._ints) == 1
+        assert "coords" not in vars(point)
+        coords = point.coords
+        assert vars(point)["coords"] is coords and next(filter(None, coords)) == 1
+    with pytest.raises(AttributeError):
+        getattr(point, "missing")
+    for name in ("coords", "_ints"):
+        with pytest.raises(AttributeError):
+            getattr(GrassmannPoint.__new__(GrassmannPoint), name)

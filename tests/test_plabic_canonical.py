@@ -248,7 +248,22 @@ def test_cached_members_hold_untracked_tuples():
     graphs = enumerate_bcfw_graphs(9, 4, 4) + enumerate_bcfw_graphs(9, 4, 2)
     gc.collect()
     for g in graphs:
-        assert not any(map(gc.is_tracked, layout(g))) and not gc.is_tracked(g.colors)
+        assert not any(map(gc.is_tracked, layout(g)))
+        assert not any(map(gc.is_tracked, vars(g).values()))
+
+
+def test_degree_and_neighbors_read_the_rotation():
+    for family in families_up_to(9):
+        for g in enumerate_bcfw_graphs(*family):
+            rotation = g.rotation
+            for v, halves in rotation.items():
+                assert g.degree(v) == len(halves)
+                assert g.neighbors(v) == tuple(g._ends[h ^ 1] for h in halves)
+            for v in (0, g.n + 1, min(rotation) - 1):
+                with pytest.raises(KeyError):
+                    g.degree(v)
+                with pytest.raises(KeyError):
+                    g.neighbors(v)
 
 
 def test_cached_members_are_rotation_systems():

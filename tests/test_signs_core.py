@@ -7,7 +7,8 @@ Domino bases are checked to span the sample's row space and to fit their
 sign template, and against the Fraction solve the integer one replaced;
 network matrices against the Fraction path sums the common denominator
 replaced, and ``Network._plan`` against the set-up ``_int_rows`` once ran
-inline on every call, all kept here.  A sha256 pin, recorded with the
+inline on every call, all kept here; the integer independence test of the
+k = 2 assemblies against the rank of their Fraction domino vectors.  A sha256 pin, recorded with the
 Fraction arithmetic, covers seeded reports, samples and bases.
 """
 
@@ -28,7 +29,7 @@ from positroids.experiments import conjecture_sweeps, disjointness_experiment, \
 from positroids.linalg import RationalMatrix, _eliminate, _integer_kernel, _maximal_minors, \
     _primitive_rows, _solve, gr_equal, plucker, rref, sample_cell
 from positroids.plabic import build_network
-from positroids.signs import _candidate_rays, _unit_scale, p_domino_basis, \
+from positroids.signs import _candidate_rays, _independent, _unit_scale, p_domino_basis, \
     standard_basis_k2
 
 # ----------------------------------------------------------------------
@@ -216,6 +217,39 @@ def test_candidate_rays_against_oracles(matrix):
         if v[col] or w[col]:
             assert any(ray[col] == 0 for ray in rays)
     assert [_unit_scale(r) for r in rays] == fraction_candidate_rays(v, w, n)
+
+
+def fraction_rank(rows):
+    """Rank by Fraction Gaussian elimination."""
+    grid, rank = [[Fraction(x) for x in row] for row in rows], 0
+    for col in range(len(grid[0]) if grid else 0):
+        pivot = next((r for r in range(rank, len(grid)) if grid[r][col]), None)
+        if pivot is None:
+            continue
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        for r in range(rank + 1, len(grid)):
+            factor = grid[r][col] / grid[rank][col]
+            grid[r] = [a - factor * b for a, b in zip(grid[r], grid[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def domino_pieces(draw):
+    n = draw(st.integers(3, 9))
+    entries = st.integers(-3, 3)
+    return n, [(draw(st.integers(1, n - 1)), draw(st.lists(entries, min_size=n, max_size=n)))
+               for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(domino_pieces(), st.lists(st.fractions().filter(bool), min_size=4, max_size=4))
+def test_independent_is_the_rank_of_the_domino_vectors(case, scales):
+    # each domino as the assemblies built it: v's two entries times a nonzero rational
+    n, pieces = case
+    vectors = [[scale * v[j] if i - 1 <= j <= i else 0 for j in range(n)]
+               for (i, v), scale in zip(pieces, scales)]
+    assert _independent(n, pieces) == (fraction_rank(vectors) == len(pieces))
 
 
 def _triples(n):
