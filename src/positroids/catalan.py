@@ -15,11 +15,12 @@ MacMahon) are computed on integers only.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .diagrams import _pair_words, _rectangle, _shapes, _word_from_rows, _young_rows, \
-    noncrossing_pairs
+from .diagrams import _pair_words, _pairs_by_upper, _rectangle, _shapes, _word_from_rows, \
+    _young_rows
 from .errors import BadRange, InvariantViolated, NotBCFWGraph, _int, _list
 from .records import Record
 
@@ -182,14 +183,6 @@ class PathPair(Record):
         self._set(wu, wl, m)
         _rectangle((wu, wl))
 
-    @classmethod
-    def _built(cls, wu: str, wl: str) -> "PathPair":
-        """Generator output only, never input: noncrossing by construction."""
-        pair = object.__new__(cls)
-        for name, value in (("wu", wu), ("wl", wl), ("m", 4)):
-            object.__setattr__(pair, name, value)
-        return pair
-
     @property
     def k(self) -> int:
         return self.wu.count("V")
@@ -215,8 +208,8 @@ def enumerate_path_pairs(n: int, k: int) -> Iterator[PathPair]:
     b = n - k - 4
     if n < 4 or k < 0 or b < 0:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
-    for wu, wl in noncrossing_pairs(k, b):
-        yield PathPair._built(wu, wl)
+    for wu, lower in _pairs_by_upper(k, b):
+        yield from PathPair._built_many([wu] * len(lower), lower, repeat(4))
 
 
 # ----------------------------------------------------------------------
@@ -266,13 +259,6 @@ class DyckPath(Record):
                 raise ValueError("path dips below the axis")
         if height != 0:
             raise ValueError("path must end on the axis")
-
-    @classmethod
-    def _built(cls, steps: str) -> "DyckPath":
-        """Generator output only, never input: a Dyck word by construction."""
-        path = object.__new__(cls)
-        object.__setattr__(path, "steps", steps)
-        return path
 
     @property
     def n(self) -> int:
@@ -353,7 +339,7 @@ def enumerate_dyck_paths(n: int, k: int) -> list[DyckPath]:
     """All Dyck paths of length 2(n-3) with n-3-k peaks."""
     if n < 4 or k < 0 or k > n - 4:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
-    return [DyckPath._built(w) for w in _dyck_words(n - 3, frozenset((n - 3 - k,)))[0]]
+    return DyckPath._built_many(_dyck_words(n - 3, frozenset((n - 3 - k,)))[0])
 
 
 def _lp(wu: str, wl: str) -> str:
@@ -474,14 +460,6 @@ class NoncrossingPathTuple(Record):
         self._set(tuple(words))
         _rectangle(self.words)
 
-    @classmethod
-    def _built(cls, words: tuple[str, ...]) -> "NoncrossingPathTuple":
-        """Generator output only, never input: a chain of nested shapes read
-        as words, noncrossing by construction, set up without the checks."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "words", words)
-        return t
-
     @property
     def c(self) -> int:
         return len(self.words)
@@ -580,29 +558,33 @@ def plane_partition_to_paths(partition: PlanePartition) -> NoncrossingPathTuple:
 
 
 def enumerate_path_tuples(a: int, b: int, c: int) -> Iterator[NoncrossingPathTuple]:
-    """All c-tuples of noncrossing paths in the a x b rectangle."""
+    """All c-tuples of noncrossing paths in the a x b rectangle, lazily: what is
+    kept grows with the shapes, not the chains.  Tuples that differ only in the
+    innermost shape are built together by the trusted ``_built_many``;
+    test_catalan.py holds them to an unmemoised reference and checked rebuilds."""
     if min(a, b, c) < 0:
         raise BadRange(f"box dimensions must be nonnegative, got {(a, b, c)}")
-
-    # memoised per call: the shapes inside each outer shape, each shape's word
-    empty = (0,) * a
+    built, empty, full = NoncrossingPathTuple._built_many, (0,) * a, (b,) * a
+    if c == 0:
+        yield from built(((),))
+        return
+    # per call: each shape's word as a 1-tuple (a chain of one), the shapes inside each
+    ones = {shape: (_word_from_rows(shape, b),) for shape in _shapes(empty, full)}
     inner: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    word: dict[tuple[int, ...], str] = {}
 
     def chains(outer: tuple[int, ...], depth: int):
-        # the words of each chain below outer, innermost (the upper path) first
-        if depth == 0:
-            yield ()
-            return
+        # each chain of depth - 1 shapes below outer as words, and the shapes inside it
         if outer not in inner:
             inner[outer] = tuple(_shapes(empty, outer))
+        if depth == 1:
+            yield inner[outer], ()
+            return
         for shape in inner[outer]:
-            if shape not in word:
-                word[shape] = _word_from_rows(shape, b)
-            for rest in chains(shape, depth - 1):
-                yield rest + (word[shape],)
+            for firsts, words in chains(shape, depth - 1):
+                yield firsts, words + ones[shape]
 
-    yield from map(NoncrossingPathTuple._built, chains((b,) * a, c))
+    for firsts, words in chains(full, c):
+        yield from built([ones[shape] + words for shape in firsts])
 
 
 # ----------------------------------------------------------------------

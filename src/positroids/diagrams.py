@@ -16,6 +16,7 @@ k x b rectangle is a Young shape, or a word read from the northeast corner
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BadRange, Crossing, NotReduced, _int, _list
@@ -450,15 +451,23 @@ def omega_LD(paths) -> OPlusDiagram:
 def noncrossing_pairs(k: int, b: int) -> Iterator[tuple[str, str]]:
     """All noncrossing pairs of words with k V steps and b H steps: the
     lower shape contains the upper one, each in the order of ``_shapes``."""
+    for wu, lower in _pairs_by_upper(k, b):
+        yield from zip(repeat(wu), lower)
+
+
+def _pairs_by_upper(k: int, b: int) -> Iterator[tuple[str, list[str]]]:
+    """``noncrossing_pairs`` grouped: each upper word with its lower words."""
     full = (b,) * k
     words = {shape: _word_from_rows(shape, b) for shape in _shapes((0,) * k, full)}
     for upper, wu in words.items():
-        for lower in _shapes(upper, full):
-            yield wu, words[lower]
+        yield wu, list(map(words.__getitem__, _shapes(upper, full)))
 
 
 def enumerate_diagrams(n: int, k: int, m: int) -> list[OPlusDiagram]:
     """The recursive diagram family for amplituhedron dimension m.
+
+    An m=2 member is built by the trusted ``OPlusDiagram._built_many``;
+    test_diagrams.py holds each equal to its checked rebuild for n <= 10.
 
     >>> len(enumerate_diagrams(6, 1, 4))
     3
@@ -466,8 +475,9 @@ def enumerate_diagrams(n: int, k: int, m: int) -> list[OPlusDiagram]:
     if m not in (1, 2, 3, 4) or k < 0 or k > n - m:
         raise BadRange(f"no family for n={n}, k={k}, m={m}")
     if m == 2:
-        return [OPlusDiagram(k, n, shape, tuple("+" + "0" * (lam - 2) + "+" for lam in shape))
-                for shape in _shapes((2,) * k, (n - k,) * k)]
+        shapes = list(_shapes((2,) * k, (n - k,) * k))
+        return OPlusDiagram._built_many([k] * len(shapes), repeat(n), shapes, [
+            tuple("+" + "0" * (lam - 2) + "+" for lam in shape) for shape in shapes])
     if m == 4:
         return [omega_LD(pair) for pair in noncrossing_pairs(k, n - k - 4)]
     if m == 1:

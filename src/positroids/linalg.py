@@ -279,6 +279,15 @@ class GrassmannPoint(Record):
             return self.__dict__.setdefault(name, _primitive_rows((self.coords,))[0])
         raise AttributeError(name)
 
+    def __eq__(self, other):  # equal coords exactly when equal primitive vectors
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.n, self._ints) == (other.k, other.n, other._ints)
+
+    def __hash__(self) -> int:  # a frozen dataclass's, of (k, n, coords) made on a twin
+        twin = self if "coords" in self.__dict__ else GrassmannPoint._built(self.k, self.n, self._ints)
+        return hash((self.k, self.n, twin.coords))
+
     def subsets(self) -> list[tuple[int, ...]]:
         return _lex_subsets(self.n, self.k)
 

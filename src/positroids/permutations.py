@@ -36,13 +36,7 @@ class DecoratedPermutation(Record):
 
     def __init__(self, n: int, images: tuple[int, ...],
                  white_fixed: frozenset[int] = frozenset()) -> None:
-        store = object.__setattr__  # _set unrolled: the families build thousands
-        store(self, "n", n)
-        store(self, "images", images)
-        store(self, "white_fixed", white_fixed)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
+        self._set(n, images, white_fixed)
         if self.n <= 0:
             raise ValueError("n must be positive")
         if len(self.images) != self.n or sorted(self.images) != list(range(1, self.n + 1)):

@@ -41,6 +41,7 @@ class PlabicGraph(Record):
     the collector never walks a cached member, and no view writes through to it."""
 
     _fields = ("n", "colors")
+    _canon = None  # the canonical form, stored on first use
     _NAME = {"b": BLACK, "w": WHITE}  # a ``_hue`` character's color; "." has none
 
     def __init__(self, n, colors, edges, rotation) -> None:
@@ -82,10 +83,15 @@ class PlabicGraph(Record):
         return g
 
     def _store(self, n, hue, ends, nxt, firsts, bound) -> None:
-        # tuples: the GC untracks a tuple of ints, so cached members cost no GC walk
-        for name, value in zip(("n", "_hue", "_canon", "_ends", "_next", "_firsts", "_bound"),
-                               (n, hue, None, *map(tuple, (ends, nxt, firsts, bound)))):
-            object.__setattr__(self, name, value)
+        # tuples: the GC untracks a tuple of ints, so cached members cost no GC walk;
+        # written out: a loop over the names took a third of each member's build
+        store = object.__setattr__
+        store(self, "n", n)
+        store(self, "_hue", hue)
+        store(self, "_ends", tuple(ends))
+        store(self, "_next", tuple(nxt))
+        store(self, "_firsts", tuple(firsts))
+        store(self, "_bound", tuple(bound))
 
     @property
     def colors(self) -> dict[int, str]:
@@ -488,6 +494,8 @@ def bcfw_permutations(n: int, k: int, m: int) -> list[DecoratedPermutation]:
     Past the new vertices a trip runs as in the parent, for a reduced graph's trip
     passes each vertex once (checked: s not in {i, i+1, r(P)}).  Traced trips check
     every family, in order: test_plabic_canonical.py for n <= 12, CI n = 13, 14.
+    They are built by the trusted ``_built_many``: test_plabic_canonical.py holds
+    each equal to its checked rebuild for n <= 10.
     """
     if m not in (2, 4):
         raise BadRange(f"permutation families exist for m in {{2, 4}}, not m={m}")
@@ -496,8 +504,8 @@ def bcfw_permutations(n: int, k: int, m: int) -> list[DecoratedPermutation]:
     shift = m // 2
     _family(n, k + shift, m)
     moved = [(v - shift - 1) % n + 1 for v in range(n + 1)]
-    return [DecoratedPermutation(n, tuple(map(moved.__getitem__, images)), frozenset())
-            for images in _TRIPS[n, k + shift, m]]
+    images = [tuple(map(moved.__getitem__, t)) for t in _TRIPS[n, k + shift, m]]
+    return DecoratedPermutation._built_many([n] * len(images), images, [frozenset()] * len(images))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The base of the package's value types, in place of frozen dataclasses:
 ``dataclasses`` imports ``inspect`` and ``exec``s six methods per class,
-which every command-line process would pay."""
+which every command-line process would pay.  ``_built_many`` makes values the
+package built, unchecked; it never touches ``__dict__``, which would turn
+CPython's inline instance values into a dict per record."""
 
+from itertools import repeat
 from operator import attrgetter
 
 
@@ -22,6 +25,15 @@ class Record:
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _built_many(cls, *columns) -> list:
+        """Unchecked records, one column of values per field (the first sized, ``repeat``
+        for a constant): a C-level map per field, so no Python code runs per record."""
+        records = list(map(object.__new__, repeat(cls, len(columns[0]))))
+        for name, column in zip(cls._fields, columns):
+            any(map(object.__setattr__, records, repeat(name), column))
+        return records
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -647,13 +648,24 @@ class TestPlanePartitions:
 
     @pytest.mark.parametrize(
         "box", [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
-        + [(4, 4, 3)],
+        + [(4, 4, 3)] + [(a, b, c) for a in range(4) for b in range(4) for c in (4, 5)],
     )
     def test_tuples_match_unmemoised_reference(self, box):
         got = list(enumerate_path_tuples(*box))
         assert [t.words for t in got] == [t.words for t in reference_path_tuples(*box)]
         # the generator builds its tuples without the public check
         assert all(t == NoncrossingPathTuple(t.words) for t in got)
+
+    def test_tuples_are_made_lazily(self):
+        # the first of the (7, 7, 7) tuples needs the shapes of one chain, not the chains
+        tracemalloc.start()
+        try:
+            first = next(enumerate_path_tuples(7, 7, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.words == ("V" * 7 + "H" * 7,) * 7
+        assert peak < 8 * 2**20, peak
 
     def test_tuple_validation(self):
         with pytest.raises(ValueError):

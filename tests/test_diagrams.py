@@ -370,6 +370,14 @@ class TestFamilies:
                 got = len(enumerate_diagrams(n, k, 3))
                 assert got == narayana(n - 2, k + 1)
 
+    def test_m2_members_equal_their_checked_rebuilds(self):
+        # the m=2 family builds its members without the public check
+        for n in range(2, 11):
+            for k in range(0, n - 1):
+                for d in enumerate_diagrams(n, k, 2):
+                    checked = OPlusDiagram(d.k, d.n, d.shape, d.rows)
+                    assert checked == d and vars(checked) == vars(d), (n, k)
+
     def test_two_sorted_columns(self):
         for d in enumerate_diagrams(7, 2, 2):
             assert is_le_diagram(d)

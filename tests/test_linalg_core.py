@@ -570,3 +570,24 @@ def test_point_coords_are_made_on_first_read():
     for name in ("coords", "_ints"):
         with pytest.raises(AttributeError):
             getattr(GrassmannPoint.__new__(GrassmannPoint), name)
+
+
+def test_points_compare_and_hash_without_making_coords():
+    z = make_tp_matrix(6, 10)
+    cells = [le_normalize(d) for d in enumerate_diagrams(10, 2, 4)[:2]]
+    matrices = [sample_cell(cell, rng=seed).matrix for cell in cells for seed in (3, 4)]
+    for make in (lambda m: z_map(z, m), plucker):
+        points = [make(m) for m in matrices]
+        again = [make(m) for m in matrices]
+        assert [p == q for p in points for q in again] == [
+            i == j for i in range(len(points)) for j in range(len(points))]
+        assert list(map(hash, points)) == list(map(hash, again))
+        assert not [p for p in points + again if "coords" in vars(p)]
+        for point, m in zip(points, matrices):
+            shown = make(m)  # a third build lends the twins its coords and JSON
+            checked = GrassmannPoint(shown.k, shown.n, shown.coords)
+            read = GrassmannPoint.from_json(json.loads(json.dumps(shown.to_json())))
+            for twin in (checked, read):
+                assert twin == point and point == twin and hash(twin) == hash(point)
+                assert hash(point) == hash((twin.k, twin.n, twin.coords))
+            assert "coords" not in vars(point)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from positroids import catalan, plabic
 from positroids.catalan import BinaryTree, enumerate_trees, tree_to_graph
 from positroids.errors import BadAttachment, NotReduced
-from positroids.permutations import BLACK, WHITE
+from positroids.permutations import BLACK, WHITE, DecoratedPermutation
 from positroids.plabic import (
     PlabicGraph,
     base_bridge,
@@ -585,6 +585,14 @@ def test_permutation_families_are_built_without_tracing(monkeypatch, cold_famili
     for n, k, m in families_up_to(10):
         perms = bcfw_permutations(n, k - m // 2, m)
         assert len(set(perms)) == cell_count(n, k, m), (n, k, m)
+
+
+def test_carried_permutations_equal_their_checked_rebuilds():
+    # bcfw_permutations builds its members without the public check
+    for n, k, m in families_up_to(10):
+        for p in bcfw_permutations(n, k - m // 2, m):
+            checked = DecoratedPermutation(p.n, p.images, p.white_fixed)
+            assert checked == p and vars(checked) == vars(p), (n, k, m)
 
 
 def test_base_trips_are_the_traced_ones():
