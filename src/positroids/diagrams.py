@@ -268,31 +268,22 @@ def find_move(diagram: OPlusDiagram) -> tuple[int, int, int, int] | None:
     """First applicable rectangle move in row-major scan order.
 
     Returns (r1, c1, r2, c2) where the + at the northwest corner moves
-    to the 0 at the southeast corner, or None when sorted.
+    to the 0 at the southeast corner, or None when sorted.  Each 0 is tried
+    with the nearest + above it and the nearest + left of it; the rows above
+    are at least as long, so every slice below is a full one.
     """
-    for r2, c2 in diagram.boxes():
-        if diagram.fill(r2, c2) != "0":
-            continue
-        r1 = next(
-            (r for r in range(r2 - 1, 0, -1) if diagram.fill(r, c2) == "+"), None
-        )
-        if r1 is None:
-            continue
-        c1 = next(
-            (c for c in range(c2 - 1, 0, -1) if diagram.fill(r2, c) == "+"), None
-        )
-        if c1 is None:
-            continue
-        if diagram.fill(r1, c1) != "+":
-            continue
-        clean = all(
-            diagram.fill(r, c) == "0"
-            for r in range(r1, r2 + 1)
-            for c in range(c1, c2 + 1)
-            if (r, c) not in {(r1, c1), (r1, c2), (r2, c1), (r2, c2)}
-        )
-        if clean:
-            return r1, c1, r2, c2
+    rows = diagram.rows
+    for r2, row in enumerate(rows):
+        c2 = row.find("0")
+        while c2 >= 0:
+            c1 = row.rfind("+", 0, c2)
+            if c1 >= 0:
+                r1 = next((r for r in range(r2 - 1, -1, -1) if rows[r][c2] == "+"), -1)
+                # row r1's nearest + left of c2 is at c1, and the rows between are clear
+                if r1 >= 0 and rows[r1].rfind("+", 0, c2) == c1 \
+                        and all("+" not in rows[r][c1:c2] for r in range(r1 + 1, r2)):
+                    return r1 + 1, c1 + 1, r2 + 1, c2 + 1
+            c2 = row.find("0", c2 + 1)
     return None
 
 

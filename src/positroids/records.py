@@ -18,9 +18,21 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        # one getter per class; a lone field still reads as a 1-tuple
+        # one getter per class; a lone field still reads as a 1-tuple.  Equality
+        # and the hash call it directly, unless the class body writes its own
+        # (an __eq__ there sets __hash__ too)
         get = attrgetter(*cls._fields)
-        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+        values = get if len(cls._fields) > 1 else lambda r: (get(r),)
+        cls._values = staticmethod(values)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return values(self) == values(other)
+        if "__eq__" not in cls.__dict__:
+            cls.__eq__ = __eq__
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = lambda r: hash(values(r))
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values):
@@ -34,14 +46,6 @@ class Record:
         for name, column in zip(cls._fields, columns):
             any(map(object.__setattr__, records, repeat(name), column))
         return records
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == other._values(other)
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}"

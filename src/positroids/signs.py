@@ -258,6 +258,11 @@ class K2Classification(Record):
 
     d ends negative, e ends positive (orthodox) or zero (deviant); the
     four fundamental dominoes sit at indices i1 <= i2 <= i3 <= i4.
+
+    ``standard_basis_k2`` keeps the integer rays it decided on and makes
+    ``d``, ``e`` and ``dominoes`` on first read, the dominoes by the trusted
+    ``Domino._built_many``; test_signs_core.py holds them equal to the eager
+    construction, and each domino to its checked rebuild, for n <= 10.
     """
 
     _fields = ("cell_class", "flavor", "d", "e", "dominoes", "indices")
@@ -265,6 +270,34 @@ class K2Classification(Record):
     def __init__(self, cell_class: int, flavor: str, d: tuple, e: tuple, dominoes: tuple,
                  indices: tuple) -> None:
         self._set(cell_class, flavor, d, e, dominoes, indices)
+
+    @classmethod
+    def _built(cls, cell_class: int, flavor: str, indices: tuple, d_ray, e_ray):
+        """Package-built values only: the primitive integer rays of d and e."""
+        basis = object.__new__(cls)
+        basis.__dict__.update(cell_class=cell_class, flavor=flavor, indices=indices,
+                              _rays=(d_ray, e_ray))
+        return basis
+
+    def __getattr__(self, name: str):  # a built pair's vectors and dominoes, on first read
+        if name not in ("d", "e", "dominoes") or "_rays" not in self.__dict__:
+            raise AttributeError(name)
+        (d_ray, e_ray), indices = self._rays, self.indices
+        d = _unit_scale(d_ray)
+        if self.flavor == "orthodox":
+            e = _unit_scale(e_ray)
+            parts = (d, d, e, e)
+        else:  # e agrees with d at i1; the inner dominoes sum to e - (d's first one)
+            i1 = indices[0]
+            e = tuple(Fraction(x, e_ray[i1 - 1]) for x in e_ray)
+            g = list(e)
+            g[i1 - 1] -= d[i1 - 1]
+            g[i1] -= d[i1]
+            parts = (d, g, g, [-x for x in d])
+        dominoes = tuple(Domino._built_many((len(d),) * 4, indices,
+                                            [(v[i - 1], v[i]) for v, i in zip(parts, indices)]))
+        self.__dict__.update(d=d, e=e, dominoes=dominoes)
+        return self.__dict__[name]
 
     @property
     def n(self) -> int:
@@ -338,18 +371,9 @@ def _orthodox_assemblies(rays, n):
         for eray, (i3, i4) in e_hits:
             if i2 > i3 or not _independent(n, ((i1, dray), (i2, dray), (i3, eray), (i4, eray))):
                 continue
-            d, e = _unit_scale(dray), _unit_scale(eray)
-            doms = (
-                Domino(n, i1, (d[i1 - 1], d[i1])),
-                Domino(n, i2, (d[i2 - 1], d[i2])),
-                Domino(n, i3, (e[i3 - 1], e[i3])),
-                Domino(n, i4, (e[i4 - 1], e[i4])),
-            )
             gap = i3 - i2
             cls = 3 if gap == 0 else 2 if gap == 1 else 1
-            out.append(
-                K2Classification(cls, "orthodox", d, e, doms, (i1, i2, i3, i4))
-            )
+            out.append(K2Classification._built(cls, "orthodox", (i1, i2, i3, i4), dray, eray))
     return out
 
 
@@ -364,9 +388,6 @@ def _deviant_assemblies(rays, n):
             e_hits.append(ray)
     out = []
     for dvec, (i1, i4) in d_hits:
-        d = _unit_scale(dvec)
-        d1 = Domino(n, i1, (d[i1 - 1], d[i1]))
-        d4 = Domino(n, i4, (-d[i4 - 1], -d[i4]))
         p0, p1 = dvec[i1 - 1], dvec[i1]  # p0 > 0 is the first nonzero entry
         for raw in e_hits:
             lead = raw[i1 - 1]
@@ -387,21 +408,12 @@ def _deviant_assemblies(rays, n):
             if not (i1 < i2 and i2 + 1 < i3 and i3 <= i4) \
                     or not _independent(n, ((i1, dvec), (i2, g), (i3, g), (i4, dvec))):
                 continue
-            e = tuple(Fraction(x, lead) for x in raw)
-            doms = (
-                d1,
-                Domino(n, i2, (Fraction(g[i2 - 1], den), Fraction(g[i2], den))),
-                Domino(n, i3, (Fraction(g[i3 - 1], den), Fraction(g[i3], den))),
-                d4,
-            )
             g12, g43 = i2 - i1, i4 - i3
             if g12 >= 2:
                 cls = 4 if g43 == 0 else 5 if g43 == 1 else 6
             else:
                 cls = 9 if g43 == 0 else 8 if g43 == 1 else 7
-            out.append(
-                K2Classification(cls, "deviant", d, e, doms, (i1, i2, i3, i4))
-            )
+            out.append(K2Classification._built(cls, "deviant", (i1, i2, i3, i4), dvec, raw))
     return out
 
 
@@ -413,7 +425,9 @@ def standard_basis_k2(
     Candidate vectors come from zeroing one coordinate at a time; the
     unique pair fitting the sign templates wins.  When the labeling
     diagram is supplied its template class must agree with the detected
-    one, else TemplateMismatch.
+    one, else TemplateMismatch.  Distinct rays, one split per ray and the two
+    flavors keep the assemblies distinct, so two fits are two answers.  The
+    result keeps the rays and makes d, e and the dominoes on first read.
     """
     n = matrix.cols
     grid = list(matrix._ints)
@@ -433,8 +447,6 @@ def standard_basis_k2(
         found.extend(_deviant_assemblies(rays, n))
     if want is not None:
         found = [r for r in found if r.cell_class == want]
-    if len(found) > 1:
-        found = list(dict.fromkeys(found))
     if len(found) != 1:
         raise TemplateMismatch(f"{len(found)} template assemblies fit")
     return found[0]

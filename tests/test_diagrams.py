@@ -261,6 +261,30 @@ def all_moves(d):
     return out
 
 
+def fillings(k, width):
+    """Every filling of every shape with k rows inside a k x width rectangle."""
+    for shape in _shapes((0,) * k, (width,) * k):
+        for bits in itertools.product("0+", repeat=sum(shape)):
+            word, rows = "".join(bits), []
+            for lam in shape:
+                rows.append(word[:lam])
+                word = word[lam:]
+            yield OPlusDiagram(k, k + width, shape, tuple(rows))
+
+
+def assert_find_move_is_the_box_scan(k_max, width):
+    """``find_move`` is the first of ``all_moves``, the box-by-box scan it
+    replaced, on every filling with at most k_max rows and width columns."""
+    for k in range(k_max + 1):
+        for d in fillings(k, width):
+            assert find_move(d) == next(iter(all_moves(d)), None), d
+
+
+@pytest.mark.parametrize("k_max, width", [(3, 5), (4, 3)])
+def test_find_move_is_the_box_scan(k_max, width):
+    assert_find_move_is_the_box_scan(k_max, width)
+
+
 class TestPathPairs:
     def test_noncrossing(self):
         assert is_noncrossing("HV", "VH")

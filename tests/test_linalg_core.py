@@ -8,7 +8,9 @@ projection and fraction-free simplex of ``find_kernel_vector_with_signs``
 against the Fraction versions they replaced; package-built matrices and
 points against the public constructors, samples drawn on one shared
 network against samples that each built their own, and the integer draws,
-points and image keys against the Fraction pipeline they replaced.
+points and image keys against the Fraction pipeline they replaced.  The
+node matrices that skip their minors, and the draws by ``choice``, are
+checked against the minors loop and the ``randint`` stream they replaced.
 """
 
 import hashlib
@@ -591,3 +593,76 @@ def test_points_compare_and_hash_without_making_coords():
                 assert twin == point and point == twin and hash(twin) == hash(point)
                 assert hash(point) == hash((twin.k, twin.n, twin.coords))
             assert "coords" not in vars(point)
+
+
+# ----------------------------------------------------------------------
+# node matrices and draws
+
+
+def tp_by_minors(rows, n, nodes):
+    """``make_tp_matrix`` before increasing nodes skipped the minors: every
+    maximal minor computed, the first nonpositive one reported."""
+    nodes = tuple(Fraction(t) for t in nodes)
+    matrix = RationalMatrix(tuple(tuple(t ** i for t in nodes) for i in range(rows)), cols=n)
+    minors = _maximal_minors(matrix._ints, n)
+    for cols, value in zip(itertools.combinations(range(n), rows), minors):
+        if value <= 0:
+            square = RationalMatrix(tuple(tuple(row[c] for c in cols) for row in matrix.entries))
+            raise NotTotallyPositive(f"minor on columns {tuple(c + 1 for c in cols)} is "
+                                     f"{square.det()}")
+    return matrix
+
+
+def tp_outcome(build, rows, n, nodes):
+    try:
+        matrix = build(rows, n, nodes)
+    except NotTotallyPositive as exc:
+        return str(exc)
+    return matrix.entries, matrix._ints
+
+
+def random_nodes(rng, n):
+    """n distinct nodes, increasing: ints, Fractions, or either sign."""
+    kind = rng.randrange(3)
+    pool = set()
+    while len(pool) < n:
+        p = rng.randint(1, 40) if kind == 0 else rng.randint(-40, 40)
+        pool.add(Fraction(p, rng.randint(1, 7)) if kind == 1 else Fraction(p))
+    return sorted(pool) if kind else [int(t) for t in sorted(pool)]
+
+
+def assert_node_shortcut_matches_minors(rows_max, n_max, rng, trials=2):
+    """Increasing nodes: the matrix the minors loop accepts.  Nodes out of order
+    or repeated: the same matrix or the same NotTotallyPositive message."""
+    for n in range(1, n_max + 1):
+        for rows in range(min(rows_max, n) + 1):
+            for _ in range(trials):
+                nodes = random_nodes(rng, n)
+                built = tp_outcome(make_tp_matrix, rows, n, nodes)
+                assert built == tp_outcome(tp_by_minors, rows, n, nodes) \
+                    and not isinstance(built, str), (rows, nodes)
+                shuffled = rng.sample(nodes, n)
+                repeated = sorted(nodes[:-1] + [rng.choice(nodes)])
+                for other in (shuffled, repeated, nodes[::-1]):
+                    assert tp_outcome(make_tp_matrix, rows, n, other) \
+                        == tp_outcome(tp_by_minors, rows, n, other), (rows, other)
+
+
+def test_node_shortcut_matches_the_minors_loop():
+    assert_node_shortcut_matches_minors(9, 9, random.Random(29))
+    assert make_tp_matrix(4, 9) == tp_by_minors(4, 9, range(1, 10))
+    with pytest.raises(NotTotallyPositive, match=r"^minor on columns \(2, 3\) is 0$"):
+        make_tp_matrix(2, 4, nodes=(1, 2, 2, 3))
+    with pytest.raises(NotTotallyPositive, match=r"^minor on columns \(1, 2, 3\) is -6$"):
+        make_tp_matrix(3, 4, nodes=(-1, 2, 0, 4))
+
+
+def test_choice_draws_are_the_randint_stream():
+    cell = le_normalize(enumerate_diagrams(9, 2, 4)[-1])
+    names = build_network(cell).variables
+    for seed in range(50):
+        rng, twin = random.Random(seed), random.Random(seed)
+        stream = [rng.randint(1, 50) for _ in range(500)]
+        assert [twin.choice(range(1, 51)) for _ in range(500)] == stream
+        assert sample_cell(cell, seed)._draws == list(zip(stream[:2 * len(names):2],
+                                                          stream[1:2 * len(names):2]))

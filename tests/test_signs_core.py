@@ -9,7 +9,9 @@ network matrices against the Fraction path sums the common denominator
 replaced, and ``Network._plan`` against the set-up ``_int_rows`` once ran
 inline on every call, all kept here; the integer independence test of the
 k = 2 assemblies against the rank of their Fraction domino vectors.  A sha256 pin, recorded with the
-Fraction arithmetic, covers seeded reports, samples and bases.
+Fraction arithmetic, covers seeded reports, samples and bases.  The k = 2
+bases, whose vectors and dominoes are made on first read, are checked against
+the eager construction they replaced, kept here.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +32,8 @@ from positroids.experiments import conjecture_sweeps, disjointness_experiment, \
 from positroids.linalg import RationalMatrix, _eliminate, _integer_kernel, _maximal_minors, \
     _primitive_rows, _solve, gr_equal, plucker, rref, sample_cell
 from positroids.plabic import build_network
-from positroids.signs import _candidate_rays, _independent, _unit_scale, p_domino_basis, \
-    standard_basis_k2
+from positroids.signs import Domino, K2Classification, _candidate_rays, _independent, \
+    _unit_scale, p_domino_basis, standard_basis_k2
 
 # ----------------------------------------------------------------------
 # oracles
@@ -439,3 +442,69 @@ def test_samples_and_bases_are_pinned():
                 digest.update(json.dumps(None if rows is None else [_strs(r) for r in rows])
                               .encode())
     assert digest.hexdigest() == BASES_SHA256
+
+
+# ----------------------------------------------------------------------
+# k = 2 bases made on first read
+
+
+def eager_basis_fields(basis):
+    """d, e and the dominoes of a built basis as ``standard_basis_k2`` made them
+    before they were made on first read: from its rays, by checked constructors."""
+    (dray, eray), (i1, i2, i3, i4) = basis._rays, basis.indices
+    n = len(dray)
+    d = _unit_scale(dray)
+    if basis.flavor == "orthodox":
+        e = _unit_scale(eray)
+        return d, e, (
+            Domino(n, i1, (d[i1 - 1], d[i1])),
+            Domino(n, i2, (d[i2 - 1], d[i2])),
+            Domino(n, i3, (e[i3 - 1], e[i3])),
+            Domino(n, i4, (e[i4 - 1], e[i4])),
+        )
+    p0, p1, lead = dray[i1 - 1], dray[i1], eray[i1 - 1]
+    den = p0 * lead
+    g = [p0 * x for x in eray]
+    g[i1 - 1] -= den
+    g[i1] -= lead * p1
+    return d, tuple(Fraction(x, lead) for x in eray), (
+        Domino(n, i1, (d[i1 - 1], d[i1])),
+        Domino(n, i2, (Fraction(g[i2 - 1], den), Fraction(g[i2], den))),
+        Domino(n, i3, (Fraction(g[i3 - 1], den), Fraction(g[i3], den))),
+        Domino(n, i4, (-d[i4 - 1], -d[i4])),
+    )
+
+
+def assert_lazy_bases_match_eager(n, seeds):
+    """Every basis of the (n, 2, 4) family's samples: fields made on first read
+    equal the eager ones, its dominoes their checked rebuilds, and the record a
+    checked twin; returns the flavors seen."""
+    flavors = set()
+    for ci, diagram in enumerate(enumerate_diagrams(n, 2, 4)):
+        cell = le_normalize(diagram)
+        for seed in seeds:
+            matrix = sample_cell(cell, seed * 1_000 + ci).matrix
+            basis, unlabeled = standard_basis_k2(matrix, diagram), standard_basis_k2(matrix)
+            assert not {"d", "e", "dominoes"} & (vars(basis).keys() | vars(unlabeled).keys())
+            d, e, dominoes = eager_basis_fields(basis)
+            assert (basis.d, basis.e, basis.dominoes) == (d, e, dominoes)
+            assert [repr(x) for x in (basis.d, basis.e, basis.dominoes)] \
+                == [repr(x) for x in (d, e, dominoes)]
+            assert all(Domino(x.n, x.index, x.values) == x for x in basis.dominoes)
+            twin = K2Classification(basis.cell_class, basis.flavor, d, e, dominoes, basis.indices)
+            assert basis == twin == unlabeled and hash(basis) == hash(twin) == hash(unlabeled)
+            assert repr(basis) == repr(twin) == repr(unlabeled) and basis.n == n
+            flavors.add(basis.flavor)
+    return flavors
+
+
+def test_lazy_k2_bases_match_the_eager_construction():
+    flavors = set()
+    for n in range(6, 11):
+        flavors |= assert_lazy_bases_match_eager(n, seeds=(1, 2))
+    assert flavors == {"orthodox", "deviant"}
+    basis = standard_basis_k2(sample_cell(le_normalize(enumerate_diagrams(7, 2, 4)[0]), 3).matrix)
+    with pytest.raises(AttributeError):
+        getattr(basis, "missing")
+    with pytest.raises(AttributeError):
+        getattr(K2Classification.__new__(K2Classification), "d")
