@@ -137,6 +137,9 @@ def _write_json(out: TextIO, obj) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
     kind = args.kind
+    separator = _FAMILIES.get(kind, (None, None))[1]
+    if args.format == "ascii" and separator is None:  # refused before any object is built
+        raise BadRange(f"ascii output is not available for kind {kind!r}")
     if kind == "pathtuple":
         _require(args, "a", "b", "c")
         objects = list(_mod("catalan").enumerate_path_tuples(args.a, args.b, args.c))
@@ -150,9 +153,6 @@ def _cmd_enumerate(args: argparse.Namespace, stdin: TextIO, out: TextIO) -> int:
         for o in objects:
             out.write(json.dumps(o.to_json(), sort_keys=True) + "\n")
     else:
-        separator = _FAMILIES.get(kind, (None, None))[1]
-        if separator is None:
-            raise BadRange(f"ascii output is not available for kind {kind!r}")
         out.write(separator.join(map(_mod("render").ASCII[kind], objects)) + "\n")
     return 0
 

@@ -26,11 +26,8 @@ from .errors import (
     _int,
     _list,
 )
-from .plabic import Network, _frac, build_network
+from .plabic import _ZERO, Network, _frac, _over, build_network
 from .records import Record
-
-
-_ZERO = Fraction(0)
 
 
 # ----------------------------------------------------------------------
@@ -38,7 +35,8 @@ _ZERO = Fraction(0)
 
 
 class RationalMatrix(Record):
-    """Immutable grid of exact rationals; cols may be given for empty grids."""
+    """Immutable grid of exact rationals; cols may be given for empty grids.  A built
+    one stores ``rows``, ``_ints`` and ``_dens`` (its rows' positive denominators)."""
 
     _fields = ("entries", "cols")
 
@@ -59,20 +57,10 @@ class RationalMatrix(Record):
             width = 0
         self._set(grid, width)
 
-    @classmethod
-    def _built(cls, cols: int, ints, dens) -> "RationalMatrix":
-        """Package-built values only: primitive integer rows, each over a positive
-        denominator; the Fraction ``entries`` are made on first read."""
-        matrix = object.__new__(cls)
-        matrix.__dict__.update(cols=cols, rows=len(ints), _ints=ints, _dens=dens)
-        return matrix
-
-    def __getattr__(self, name: str):  # a package-built matrix's entries, on first read
-        if name != "entries" or "_dens" not in self.__dict__:
-            raise AttributeError(name)
-        return self.__dict__.setdefault("entries", tuple(
-            tuple(Fraction(x, d) if x else _ZERO for x in row)
-            for row, d in zip(self._ints, self._dens)))
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        dens = self._dens  # first: ``_ints`` of a checked matrix reads ``entries``
+        return tuple(map(_over, self._ints, dens))
 
     @cached_property
     def _ints(self) -> tuple[tuple[int, ...], ...]:
@@ -200,10 +188,8 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     grid = list(matrix._ints)
     pivots, _, _ = _eliminate(grid)
     # rows past the rank are zero; each pivot row is divided by its lead once
-    reduced = tuple(
-        tuple(Fraction(x, row[col]) if x else _ZERO for x in row)
-        for row, col in zip(grid, pivots)
-    ) + ((_ZERO,) * matrix.cols,) * (matrix.rows - len(pivots))
+    reduced = tuple(_over(row, row[col]) for row, col in zip(grid, pivots)) \
+        + ((_ZERO,) * matrix.cols,) * (matrix.rows - len(pivots))
     return RationalMatrix(reduced, cols=matrix.cols), tuple(pivots)
 
 
@@ -264,17 +250,9 @@ class GrassmannPoint(Record):
             coords = tuple(x / lead for x in coords)
         self._set(k, n, coords)
 
-    @classmethod
-    def _built(cls, k: int, n: int, ints: tuple[int, ...]) -> "GrassmannPoint":
-        """Package-built values only: C(n, k) coprime ints, the first nonzero one positive."""
-        point = object.__new__(cls)
-        point.__dict__.update(k=k, n=n, _ints=ints)
-        return point
-
     def __getattr__(self, name: str):  # the form a point was not made in, on first read
         if name == "coords" and "_ints" in self.__dict__:
-            lead = next(filter(None, self._ints))
-            return self.__dict__.setdefault(name, tuple(Fraction(x, lead) for x in self._ints))
+            return self.__dict__.setdefault(name, _unit_scale(self._ints))
         if name == "_ints" and "coords" in self.__dict__:
             return self.__dict__.setdefault(name, _primitive_rows((self.coords,))[0])
         raise AttributeError(name)
@@ -284,9 +262,8 @@ class GrassmannPoint(Record):
             return NotImplemented
         return (self.k, self.n, self._ints) == (other.k, other.n, other._ints)
 
-    def __hash__(self) -> int:  # a frozen dataclass's, of (k, n, coords) made on a twin
-        twin = self if "coords" in self.__dict__ else GrassmannPoint._built(self.k, self.n, self._ints)
-        return hash((self.k, self.n, twin.coords))
+    def __hash__(self) -> int:  # a frozen dataclass's, of (k, n, coords), made and not kept
+        return hash((self.k, self.n, self.__dict__.get("coords") or _unit_scale(self._ints)))
 
     def subsets(self) -> list[tuple[int, ...]]:
         return _lex_subsets(self.n, self.k)
@@ -326,6 +303,11 @@ class GrassmannPoint(Record):
         return cls(k, n, tuple(table.values()))
 
 
+def _unit_scale(ints) -> tuple[Fraction, ...]:
+    """An integer vector over its first nonzero entry."""
+    return _over(ints, next(filter(None, ints)))
+
+
 def _key(rows, width: int) -> tuple[int, ...]:
     """The maximal minors of integer rows as a primitive vector with a positive lead:
     two matrices have equal keys exactly when ``plucker`` gives them equal points."""
@@ -339,7 +321,7 @@ def _key(rows, width: int) -> tuple[int, ...]:
 
 def plucker(matrix: RationalMatrix) -> GrassmannPoint:
     """Projective vector of maximal minors of a full-row-rank matrix."""
-    return GrassmannPoint._built(matrix.rows, matrix.cols, _key(matrix._ints, matrix.cols))
+    return GrassmannPoint._built(k=matrix.rows, n=matrix.cols, _ints=_plucker_key(matrix))
 
 
 def _plucker_key(matrix: RationalMatrix) -> tuple[int, ...]:
@@ -367,13 +349,13 @@ def _boundary_matrix(network: Network, rows) -> RationalMatrix:
     """The matrix of a network already built, from its integer rows: made
     primitive, each over its entry at its own source, never re-cleared."""
     rows = tuple(map(_primitive, rows))
-    return RationalMatrix._built(network.n, rows,
-                                 tuple(row[s - 1] for row, s in zip(rows, network.sources)))
+    return RationalMatrix._built(cols=network.n, rows=len(rows), _ints=rows,
+                                 _dens=tuple(row[s - 1] for row, s in zip(rows, network.sources)))
 
 
 class CellSample(Record):
     """One point of a cell: a diagram, positive edge values, the matrix; equal only to
-    itself.  A sampled point keeps its draws, int pairs (p, q), until ``values`` is read."""
+    itself.  A sampled point stores ``_names`` and ``_draws``, int pairs (p, q)."""
 
     _fields = ("diagram", "values", "matrix")
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -384,18 +366,9 @@ class CellSample(Record):
         if any(v <= 0 for v in values.values()):
             raise ValueError("edge variables must be strictly positive")
 
-    @classmethod
-    def _built(cls, diagram: OPlusDiagram, names, draws, matrix) -> "CellSample":
-        """Package-built values only: one pair of positive ints per name."""
-        sample = object.__new__(cls)
-        sample.__dict__.update(diagram=diagram, matrix=matrix, _names=names, _draws=draws)
-        return sample
-
-    def __getattr__(self, name: str):  # a sampled point's values, on first read
-        if name != "values" or "_draws" not in self.__dict__:
-            raise AttributeError(name)
-        return self.__dict__.setdefault("values", {
-            v: Fraction(p, q) for v, (p, q) in zip(self._names, self._draws)})
+    @cached_property
+    def values(self) -> dict[str, Fraction]:
+        return {v: Fraction(p, q) for v, (p, q) in zip(self._names, self._draws)}
 
     def to_json(self) -> dict:
         return {
@@ -427,7 +400,8 @@ def _cell_samples(diagram: OPlusDiagram, rngs: Iterable) -> Iterator[CellSample]
         pick = rng.choice
         draws = [(pick(span), pick(span)) for _ in network.variables]
         matrix = _boundary_matrix(network, network._pair_rows(draws))
-        yield CellSample._built(diagram, network.variables, draws, matrix)
+        yield CellSample._built(diagram=diagram, matrix=matrix, _names=network.variables,
+                                _draws=draws)
 
 
 @lru_cache(maxsize=None)
@@ -490,7 +464,7 @@ def z_map(z: RationalMatrix, v: RationalMatrix) -> GrassmannPoint:
     # one scale for all of z: scaling its rows apart would move the point
     image = [[sum(map(mul, row, z_row)) for z_row in z._scaled] for row in v._ints]
     try:
-        return GrassmannPoint._built(v.rows, z.rows, _key(image, z.rows))
+        return GrassmannPoint._built(k=v.rows, n=z.rows, _ints=_key(image, z.rows))
     except RankDeficient as exc:
         raise RankLoss("the map dropped rank; check the preconditions") from exc
 
@@ -503,7 +477,7 @@ def kernel_basis(z: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the right null space, scaled to primitive integers."""
     grid = list(z._ints)
     pivots, _, _ = _eliminate(grid)
-    return [tuple(map(Fraction, v)) for v in _integer_kernel(grid, pivots, z.cols)]
+    return [_over(v, 1) for v in _integer_kernel(grid, pivots, z.cols)]
 
 
 def _sign(x: Fraction) -> int:
@@ -601,7 +575,7 @@ def find_kernel_vector_with_signs(
             coeffs, den = solution
             v = [sum(c * u[t] for c, u in zip(coeffs, basis)) for t in range(z.cols)]
             if all(_sign(x) == s for x, s in zip(v, signs)):
-                return tuple(Fraction(x, den * scale) for x in v)
+                return _over(v, den * scale)
     # complete fallback: v_i = sign_i (u_i + 1) with u >= 0 and Z v = 0
     rows = [[row[j] * signs[j] for j in range(z.cols)] for row in z.entries]
     rhs = [-sum((row[j] * signs[j] for j in range(z.cols)), Fraction(0))

@@ -76,7 +76,7 @@ class PlabicGraph(Record):
                     (rotation[b][0] for b in range(1, n + 1)))
 
     @classmethod
-    def _built(cls, n, hue, ends, nxt, firsts, bound) -> "PlabicGraph":
+    def _from_layout(cls, n, hue, ends, nxt, firsts, bound) -> "PlabicGraph":
         """Surgery output only: the patched layout of a valid parent, valid by construction."""
         g = object.__new__(cls)
         g._store(n, hue, ends, nxt, firsts, bound)
@@ -342,8 +342,8 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     ends += [far, v_new, v_new, i, v_new, i + 1]
     hue, c = graph._hue, color[0]
     hue = f"{hue[:cut]}{hue[cut + 2:]}{hue[h_far]}{c}{c}.{c}."
-    return PlabicGraph._built(graph.n + 1, hue, ends, nxt,
-                              [*map(moved.__getitem__, graph._firsts), t + 1, t + 5], bound)
+    return PlabicGraph._from_layout(graph.n + 1, hue, ends, nxt,
+                                    [*map(moved.__getitem__, graph._firsts), t + 1, t + 5], bound)
 
 
 def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
@@ -383,8 +383,8 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     firsts.remove(*{h_v, h_to_e, h_to_f}.intersection(firsts))  # v's first half goes
     firsts += [h_to_e, h_to_f, t + 3, t + 6, t + 9]
     bound = graph._bound
-    return PlabicGraph._built(graph.n + 1, hue.decode(), ends, nxt, firsts,
-                              (*bound[:i], t + 9, *bound[i:]))
+    return PlabicGraph._from_layout(graph.n + 1, hue.decode(), ends, nxt, firsts,
+                                    (*bound[:i], t + 9, *bound[i:]))
 
 
 # ----------------------------------------------------------------------
@@ -613,11 +613,19 @@ def graph_from_le(diagram: OPlusDiagram) -> PlabicGraph:
 # weighted networks from diagrams
 
 
+_ZERO = Fraction(0)
+
+
+def _over(ints, den) -> tuple[Fraction, ...]:
+    """Each int over ``den``, a zero as ``_ZERO``: package-built integers as Fractions."""
+    return tuple(Fraction(x, den) if x else _ZERO for x in ints)
+
+
 def _frac(value) -> Fraction:  # the float ban, for every module above this one
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed; pass int, Fraction, or 'p/q'")
+    if isinstance(value, (bool, float)):  # JSON true is not the number 1
+        raise TypeError(f"{type(value).__name__}s are not allowed; pass int, Fraction, or 'p/q'")
     if isinstance(value, str):  # Fraction builds 10**exponent: cap it as int() caps literals
         _, e, exponent = value.upper().rpartition("E")
         digits = exponent.strip().lstrip("+-").replace("_", "")
@@ -650,7 +658,7 @@ class Network(Record):
     def matrix(self, values: Mapping[str, object]) -> list[list[Fraction]]:
         """Boundary measurements: signed path sums, one row per source."""
         rows = self._int_rows(values)
-        return [[Fraction(x, row[s - 1]) for x in row] for row, s in zip(rows, self.sources)]
+        return [list(_over(row, row[s - 1])) for row, s in zip(rows, self.sources)]
 
     @cached_property
     def _plan(self) -> tuple[tuple, tuple]:

@@ -1,8 +1,8 @@
 """The base of the package's value types, in place of frozen dataclasses:
 ``dataclasses`` imports ``inspect`` and ``exec``s six methods per class,
-which every command-line process would pay.  ``_built_many`` makes values the
-package built, unchecked; it never touches ``__dict__``, which would turn
-CPython's inline instance values into a dict per record."""
+which every command-line process would pay.  ``_built_many`` makes families the
+package built, unchecked; unlike ``_built`` it never touches ``__dict__``, which
+would turn CPython's inline instance values into a dict per record."""
 
 from itertools import repeat
 from operator import attrgetter
@@ -13,7 +13,11 @@ class Record:
     own ``__init__``, which stores them with ``_set`` (``object.__setattr__``,
     so no per-instance dict is made) and then checks them.  Equality, the hash
     (of the tuple of fields), ``repr`` and immutability follow from ``_fields``.
-    There are no slots, so ``cached_property`` and a ``__getattr__`` work."""
+    No slots: ``_built(**state)`` may store a field in another form (ints for
+    Fractions), read by a ``cached_property`` of that name, which a checked
+    ``__init__`` shadows by storing the field.  ``GrassmannPoint`` may store
+    either form, so keeps a ``__getattr__``; ``PlabicGraph`` keeps its cached
+    families free of a dict apiece, storing as ``_built_many`` does."""
 
     _fields: tuple[str, ...] = ()
 
@@ -37,6 +41,13 @@ class Record:
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _built(cls, **state) -> "Record":
+        """An unchecked record of the package's own making, its state stored as given."""
+        record = object.__new__(cls)
+        record.__dict__.update(state)
+        return record
 
     @classmethod
     def _built_many(cls, *columns) -> list:

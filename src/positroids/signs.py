@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .catalan import DyckPath, dyck_step_labels
@@ -27,8 +28,8 @@ from .errors import (
     _int,
     _list,
 )
-from .linalg import _ZERO, RationalMatrix, _eliminate, _frac, _integer_kernel, \
-    _primitive_rows, _sign, _solve
+from .linalg import _ZERO, RationalMatrix, _eliminate, _frac, _integer_kernel, _over, \
+    _primitive_rows, _sign, _solve, _unit_scale
 from .records import Record
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
@@ -259,8 +260,8 @@ class K2Classification(Record):
     d ends negative, e ends positive (orthodox) or zero (deviant); the
     four fundamental dominoes sit at indices i1 <= i2 <= i3 <= i4.
 
-    ``standard_basis_k2`` keeps the integer rays it decided on and makes
-    ``d``, ``e`` and ``dominoes`` on first read, the dominoes by the trusted
+    ``standard_basis_k2`` stores the integer rays it decided on, ``_rays``, and
+    makes ``d``, ``e`` and ``dominoes`` on first read, the dominoes by the trusted
     ``Domino._built_many``; test_signs_core.py holds them equal to the eager
     construction, and each domino to its checked rebuild, for n <= 10.
     """
@@ -271,33 +272,30 @@ class K2Classification(Record):
                  indices: tuple) -> None:
         self._set(cell_class, flavor, d, e, dominoes, indices)
 
-    @classmethod
-    def _built(cls, cell_class: int, flavor: str, indices: tuple, d_ray, e_ray):
-        """Package-built values only: the primitive integer rays of d and e."""
-        basis = object.__new__(cls)
-        basis.__dict__.update(cell_class=cell_class, flavor=flavor, indices=indices,
-                              _rays=(d_ray, e_ray))
-        return basis
+    @cached_property
+    def d(self) -> tuple[Fraction, ...]:
+        return _unit_scale(self._rays[0])
 
-    def __getattr__(self, name: str):  # a built pair's vectors and dominoes, on first read
-        if name not in ("d", "e", "dominoes") or "_rays" not in self.__dict__:
-            raise AttributeError(name)
-        (d_ray, e_ray), indices = self._rays, self.indices
-        d = _unit_scale(d_ray)
+    @cached_property
+    def e(self) -> tuple[Fraction, ...]:
+        e_ray = self._rays[1]
         if self.flavor == "orthodox":
-            e = _unit_scale(e_ray)
+            return _unit_scale(e_ray)
+        return _over(e_ray, e_ray[self.indices[0] - 1])  # agrees with d at i1
+
+    @cached_property
+    def dominoes(self) -> tuple[Domino, ...]:
+        d, e, indices = self.d, self.e, self.indices
+        if self.flavor == "orthodox":
             parts = (d, d, e, e)
-        else:  # e agrees with d at i1; the inner dominoes sum to e - (d's first one)
+        else:  # the inner dominoes sum to e - (d's first one)
             i1 = indices[0]
-            e = tuple(Fraction(x, e_ray[i1 - 1]) for x in e_ray)
             g = list(e)
             g[i1 - 1] -= d[i1 - 1]
             g[i1] -= d[i1]
             parts = (d, g, g, [-x for x in d])
-        dominoes = tuple(Domino._built_many((len(d),) * 4, indices,
-                                            [(v[i - 1], v[i]) for v, i in zip(parts, indices)]))
-        self.__dict__.update(d=d, e=e, dominoes=dominoes)
-        return self.__dict__[name]
+        return tuple(Domino._built_many((len(d),) * 4, indices,
+                                        [(v[i - 1], v[i]) for v, i in zip(parts, indices)]))
 
     @property
     def n(self) -> int:
@@ -327,11 +325,6 @@ def _plus_minus_pair(head) -> Optional[tuple[int, int]]:
     if neg[0] <= pos[1]:
         return None
     return pos[0] + 1, neg[0] + 1
-
-
-def _unit_scale(ray) -> tuple:
-    first = next(x for x in ray if x)
-    return tuple(Fraction(x, first) if x else _ZERO for x in ray)
 
 
 def _candidate_rays(v, w) -> list[tuple[int, ...]]:
@@ -373,7 +366,8 @@ def _orthodox_assemblies(rays, n):
                 continue
             gap = i3 - i2
             cls = 3 if gap == 0 else 2 if gap == 1 else 1
-            out.append(K2Classification._built(cls, "orthodox", (i1, i2, i3, i4), dray, eray))
+            out.append(K2Classification._built(cell_class=cls, flavor="orthodox",
+                                               indices=(i1, i2, i3, i4), _rays=(dray, eray)))
     return out
 
 
@@ -413,7 +407,8 @@ def _deviant_assemblies(rays, n):
                 cls = 4 if g43 == 0 else 5 if g43 == 1 else 6
             else:
                 cls = 9 if g43 == 0 else 8 if g43 == 1 else 7
-            out.append(K2Classification._built(cls, "deviant", (i1, i2, i3, i4), dvec, raw))
+            out.append(K2Classification._built(cell_class=cls, flavor="deviant",
+                                               indices=(i1, i2, i3, i4), _rays=(dvec, raw)))
     return out
 
 
@@ -539,7 +534,7 @@ def m2_standard_basis(
             raise TemplateMismatch(f"row {i} is not positive at its source pair")
         if last_sign * lead * row[n - 1] <= 0:
             raise TemplateMismatch(f"row {i} ends with the wrong sign")
-        out.append(tuple(Fraction(x, lead) if x else _ZERO for x in row))
+        out.append(_over(row, lead))
     return out
 
 
@@ -699,4 +694,4 @@ def p_domino_basis(
         first_dominoes.append((p, q, den))
     if len(_eliminate([row for row, _ in rows])[0]) != k:
         return None
-    return [tuple(Fraction(x, common) if x else _ZERO for x in row) for row, common in rows]
+    return [_over(row, common) for row, common in rows]

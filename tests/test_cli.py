@@ -540,6 +540,16 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "expected an integer" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("matrix", [[[True, 1, 1]], [[1, False, 1]]], ids=["true", "false"])
+    def test_json_booleans_are_not_numbers(self, matrix, capsys):
+        # read as 1, [[true, 1, 1]] is a member of the "++" cell
+        payload = json.dumps({"matrix": matrix,
+                              "diagram": {"k": 1, "n": 3, "shape": [2], "rows": ["++"]}})
+        code, text = invoke(["verify", "--kind", "membership"], payload)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "bools are not allowed" in err and "internal error" not in err
+
     @pytest.mark.parametrize("payload", [
         {"a": 100000000, "b": 0, "c": 0, "rows": []},
         {"a": 2, "b": -1, "c": 2, "rows": []},
@@ -555,6 +565,21 @@ class TestUsage:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert "positroids: error: " in err and "internal error" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "paths", "--n", "17", "--k", "6"],
+        ["--kind", "graph", "--n", "19", "--k", "9", "--m", "2"],
+        ["--kind", "permutation", "--n", "15", "--k", "6", "--m", "4"],
+        ["--kind", "pathtuple", "--a", "5", "--b", "4", "--c", "4"],
+    ], ids=["paths", "graph", "permutation", "pathtuple"])
+    def test_ascii_refused_before_enumerating(self, argv, capsys):
+        # each family takes half a second or more to build
+        start = time.perf_counter()
+        code, text = invoke(["enumerate", *argv, "--format", "ascii"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "ascii output is not available" in err and "internal error" not in err
 
     def test_deeply_nested_tree(self, capsys):
         tree = '"leaf"'

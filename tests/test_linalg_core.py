@@ -7,10 +7,11 @@ of sampled cells against the three-term Plücker relations; the integer Gram
 projection and fraction-free simplex of ``find_kernel_vector_with_signs``
 against the Fraction versions they replaced; package-built matrices and
 points against the public constructors, samples drawn on one shared
-network against samples that each built their own, and the integer draws,
-points and image keys against the Fraction pipeline they replaced.  The
-node matrices that skip their minors, and the draws by ``choice``, are
-checked against the minors loop and the ``randint`` stream they replaced.
+network against samples that each built their own and against their
+checked rebuilds, and the integer draws, points and image keys against the
+Fraction pipeline they replaced.  The node matrices that skip their minors,
+and the draws by ``choice``, are checked against the minors loop and the
+``randint`` stream they replaced.
 """
 
 import hashlib
@@ -593,6 +594,33 @@ def test_points_compare_and_hash_without_making_coords():
                 assert twin == point and point == twin and hash(twin) == hash(point)
                 assert hash(point) == hash((twin.k, twin.n, twin.coords))
             assert "coords" not in vars(point)
+
+
+def assert_samples_match_checked_rebuilds(n, seeds):
+    """One point per seed in each cell of the (n, 2, 4) family, its views read only
+    after the sampling path ran, against its checked rebuild; returns the count."""
+    z, count = make_tp_matrix(6, n), 0
+    for ci, diagram in enumerate(enumerate_diagrams(n, 2, 4)):
+        cell = le_normalize(diagram)
+        for point in _cell_samples(cell, [_sample_seed(seed, ci, 0) for seed in seeds]):
+            matrix = point.matrix
+            plucker(matrix)  # the sampling path reads the integer rows only
+            z_map(z, matrix)
+            rref(matrix)
+            assert "values" not in vars(point) and "entries" not in vars(matrix)
+            checked = CellSample(cell, point.values, RationalMatrix(matrix.entries, cols=n))
+            assert matrix == checked.matrix and hash(matrix) == hash(checked.matrix)
+            assert repr(matrix) == repr(checked.matrix) and repr(point) == repr(checked)
+            assert matrix.to_json() == checked.matrix.to_json()
+            assert point.to_json() == checked.to_json()
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_samples_match_their_checked_rebuilds(n):
+    assert assert_samples_match_checked_rebuilds(n, seeds=(1, 2)) \
+        == 2 * len(enumerate_diagrams(n, 2, 4))
 
 
 # ----------------------------------------------------------------------

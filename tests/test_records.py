@@ -8,7 +8,8 @@ the ``AttributeError`` of an assignment or a deletion.  The instances are
 real: every tree, Dyck path, path pair and m=4 permutation with n <= 9,
 every Le-diagram with n <= 7 and its permutation (the wiring, network and
 graph of those with n <= 6), and seeded samples, bases and experiment
-reports.
+reports.  Last, the fields that a package-built record makes on first read
+are checked as views.
 """
 
 import inspect
@@ -202,3 +203,33 @@ def test_a_cell_sample_is_equal_only_to_itself():
     copy = CellSample(sample.diagram, dict(sample.values), sample.matrix)
     assert sample == sample and sample != copy and len({sample, copy}) == 2
     assert hash(sample) == object.__hash__(sample)
+
+
+# the fields a package-built record stores in another form and makes on first read
+VIEWS = [(RationalMatrix, "entries"), (CellSample, "values"), (K2Classification, "d"),
+         (K2Classification, "e"), (K2Classification, "dominoes")]
+
+
+def _as_sampled(cls):
+    """A record of ``cls`` as the sampling path builds it, no field read yet."""
+    sample = sample_cell(le_normalize(enumerate_diagrams(7, 2, 4)[5]), rng=11)
+    return {CellSample: sample, RationalMatrix: sample.matrix,
+            K2Classification: standard_basis_k2(sample.matrix)}[cls]
+
+
+@pytest.mark.parametrize("cls, name", VIEWS, ids=[f"{c.__name__}.{n}" for c, n in VIEWS])
+def test_views_are_made_once_and_never_replace_a_stored_field(cls, name):
+    with pytest.raises(AttributeError):  # not RecursionError: a view reads the stored form
+        getattr(cls.__new__(cls), name)
+    built = _as_sampled(cls)
+    assert name not in vars(built)
+    value = getattr(built, name)
+    assert vars(built)[name] is value is getattr(built, name)
+    checked = cls(*(getattr(built, f) for f in cls._fields))
+    stored = vars(checked)[name]
+    assert stored == value
+    # reads every field and view; a sample is equal only to itself
+    assert repr(checked) == repr(built) and (checked == built) is (cls is not CellSample)
+    for other in (n for c, n in VIEWS if c is cls):
+        getattr(checked, other)
+    assert getattr(checked, name) is vars(checked)[name] is stored

@@ -127,6 +127,11 @@ class TestDomino:
         with pytest.raises(TypeError):
             Domino.from_json({"n": 6, "index": 4, "values": [0.5, 1]})
 
+    def test_json_bool_rejected(self):
+        # read as 1, true makes the domino with values 1, 1
+        with pytest.raises(TypeError, match="bools are not allowed"):
+            Domino.from_json({"n": 6, "index": 4, "values": [True, 1]})
+
     @pytest.mark.parametrize("data", [
         {"n": "3", "index": 2, "values": ["1", "2"]},
         {"n": 3, "index": 2.9, "values": ["1", "2"]},
