@@ -3,10 +3,10 @@
 Four Catalan-family indexings of the same cell collection, with the
 bijections among them and down to plabic graphs and diagrams.  Trees,
 Dyck paths and the order of the m=4 graph family come from one Dyck-word
-recursion: a tree's word is "+", its horizontal child's, "-", its vertical
-child's, and its peaks are its horizontal leaves.  The generator builds only
-the words with the peak count asked for, and the family plan says which
-blow-up of which parent makes each member's word.  Path words are read
+recursion, and a tree is its word: "+", its horizontal child's word, "-",
+its vertical child's; its peaks are its horizontal leaves.  The generator
+builds only the words with the peak count asked for, and the family plan
+says which blow-up of which parent makes each member's word.  Path words are read
 from the northeast corner: H steps west, V steps south; their shapes come
 from ``diagrams``.  The closed forms that count the families (Narayana,
 MacMahon) are computed on integers only.
@@ -14,8 +14,8 @@ MacMahon) are computed on integers only.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -35,31 +35,47 @@ if TYPE_CHECKING:
 class BinaryTree(Record):
     """Complete rooted binary tree with ordered (horizontal, vertical) children.
 
-    A node is a leaf exactly when both children are None.  Leaves are
-    labeled 2..n-1 by a depth-first search taking horizontal children
-    first, so the label-2 leaf hangs off the all-horizontal spine.
+    A tree is its Dyck word ``word``: "+", the horizontal child's word, "-", the vertical
+    child's, "" for a leaf.  Leaves are labeled 2..n-1 by a depth-first search taking
+    horizontal children first, so the label-2 leaf hangs off the all-horizontal spine.
+    A package-built tree stores only its word and makes its children on first read.
     """
 
     _fields = ("horizontal", "vertical")
+    _stored = ("word",)
 
     def __init__(self, horizontal: Optional[BinaryTree] = None,
                  vertical: Optional[BinaryTree] = None) -> None:
-        store = object.__setattr__  # _set unrolled: the enumerations build thousands
-        store(self, "horizontal", horizontal)
-        store(self, "vertical", vertical)
         if (horizontal is None) != (vertical is None):
             raise ValueError("a node has either two children or none")
+        self._set(horizontal, vertical)
+        object.__setattr__(self, "word", "" if horizontal is None
+                           else f"+{horizontal.word}-{vertical.word}")
+
+    @cached_property
+    def horizontal(self) -> Optional[BinaryTree]:
+        return _tree_shapes(self.word[1:_close(self.word)]) if self.word else None
+
+    @cached_property
+    def vertical(self) -> Optional[BinaryTree]:
+        return _tree_shapes(self.word[_close(self.word) + 1:]) if self.word else None
+
+    def __eq__(self, other):
+        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:  # the fields' hash, as for every record: __eq__ drops it
+        return hash((self.horizontal, self.vertical))
 
     @property
     def is_leaf(self) -> bool:
-        return self.horizontal is None
+        return not self.word
 
     def leaf_count(self) -> int:
-        return _dyck_word(self).count("-") + 1
+        return self.word.count("-") + 1
 
     def horizontal_leaf_count(self) -> int:
         """Number of leaves that are horizontal children: its Dyck word's peaks."""
-        return _dyck_word(self).count("+-")
+        return self.word.count("+-")
 
     @property
     def n(self) -> int:
@@ -71,17 +87,10 @@ class BinaryTree(Record):
 
     def reflect(self) -> "BinaryTree":
         """Swap the two children of every internal node."""
-        if self.is_leaf:
-            return self
-        return BinaryTree(self.vertical.reflect(), self.horizontal.reflect())
+        return BinaryTree._built(word=_fold(self.word, "", lambda h, v: f"+{v}-{h}"))
 
     def to_json(self):
-        if self.is_leaf:
-            return "leaf"
-        return {
-            "horizontal": self.horizontal.to_json(),
-            "vertical": self.vertical.to_json(),
-        }
+        return _fold(self.word, "leaf", lambda h, v: {"horizontal": h, "vertical": v})
 
     @classmethod
     def from_json(cls, data) -> "BinaryTree":
@@ -93,37 +102,34 @@ class BinaryTree(Record):
         )
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            return "*"
-        return f"({self.horizontal} {self.vertical})"
+        return _fold(self.word, "*", "({} {})".format)
 
 
-_LEAF = BinaryTree()
+def _close(word: str) -> int:
+    """Where the "-" closing a nonempty word's first "+" stands: its first return to 0."""
+    return list(accumulate(map({"+": 1, "-": -1}.get, word))).index(0)
+
+
+def _fold(word: str, leaf, node):
+    """A tree's value built bottom-up, ``leaf`` at each leaf and ``node(h, v)`` at each inner
+    node: ``word + "-"`` lists the nodes in preorder ("+" inner), so read from the end."""
+    values = []
+    for step in reversed(word + "-"):
+        values.append(node(values.pop(), values.pop()) if step == "+" else leaf)
+    return values[0]
 
 
 @lru_cache(maxsize=None)
 def _tree_shapes(word: str) -> BinaryTree:
-    """The tree of a Dyck word: "+" a "-" b is (tree(a), tree(b)), "" a leaf."""
-    height = 0
-    for at, step in enumerate(word):
-        height += 1 if step == "+" else -1
-        if not height:  # the "-" that closes a
-            return BinaryTree(_tree_shapes(word[1:at]), _tree_shapes(word[at + 1:]))
-    return _LEAF
+    """The package-built tree of a word, which the two child views share."""
+    return BinaryTree._built(word=word)
 
 
 def enumerate_trees(n: int, k: int) -> list[BinaryTree]:
     """All trees with n-2 leaves of which exactly k+1 are horizontal children."""
     if n < 4 or k < 0 or k > n - 4:
         raise BadRange(f"need n >= 4 and 0 <= k <= n-4, got n={n}, k={k}")
-    return [_tree_shapes(w) for w in _dyck_words(n - 3, frozenset((k + 1,)))[0]]
-
-
-def _dyck_word(tree: BinaryTree) -> str:
-    """A tree's word: "+", its horizontal child's word, "-", its vertical child's."""
-    if tree.is_leaf:
-        return ""
-    return "+" + _dyck_word(tree.horizontal) + "-" + _dyck_word(tree.vertical)
+    return BinaryTree._built_many(_dyck_words(n - 3, frozenset((k + 1,)))[0])
 
 
 def tree_to_graph(tree: BinaryTree) -> PlabicGraph:
@@ -134,7 +140,7 @@ def tree_to_graph(tree: BinaryTree) -> PlabicGraph:
         raise BadRange("a bare leaf corresponds to no graph")
     # collapse the first cherry, a "+-" not followed by "+", until one is
     # left; its horizontal leaf is the boundary 2 + (leaves before it)
-    word, ops = _dyck_word(tree), []
+    word, ops = tree.word, []
     while word != "+-":
         at = word.find("+-")
         while word.startswith("+", at + 2):
@@ -216,27 +222,16 @@ def enumerate_path_pairs(n: int, k: int) -> Iterator[PathPair]:
 # tree -> path pair
 
 
-def _words_recursive(t: BinaryTree) -> tuple[str, str]:
-    h_leaf = t.horizontal.is_leaf
-    v_leaf = t.vertical.is_leaf
-    if h_leaf and v_leaf:
-        return "", ""
-    if not h_leaf and v_leaf:
-        wu, wl = _words_recursive(t.horizontal)
-        return "H" + wu, wl + "H"
-    if h_leaf and not v_leaf:
-        wu, wl = _words_recursive(t.vertical)
-        return "V" + wu, "V" + wl
-    au, al = _words_recursive(t.horizontal)
-    bu, bl = _words_recursive(t.vertical)
-    return "H" + au + "V" + bu, al + "H" + "V" + bl
-
-
 def omega_TL(tree: BinaryTree) -> PathPair:
-    """Word pair of a tree, built by recursion on its two subtrees."""
+    """Word pair of a tree, read off its word: past the root, each inner node "+"
+    is an upper H if a horizontal child (after a "+"), else a V; each leaf "-"
+    past the first is a lower H if a vertical child (after a "-"), else a V."""
     if tree.is_leaf:
         raise BadRange("a bare leaf corresponds to no path pair")
-    return PathPair(*_words_recursive(tree))
+    word, upper, lower = tree.word, [], []
+    for before, step in zip(word, word[1:]):
+        (upper if step == "+" else lower).append("H" if before == step else "V")
+    return PathPair("".join(upper), "".join(lower[1:]))
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,9 @@ from .permutations import DecoratedPermutation
 from .records import Record
 
 
+_MAX_N = 100_000  # the largest n read from JSON: labels, wiring and drawings walk it all
+
+
 class OPlusDiagram(Record):
     """A {0, +} filling of a Young diagram inside a k x (n-k) rectangle.
 
@@ -141,6 +144,8 @@ class OPlusDiagram(Record):
     @classmethod
     def from_json(cls, data: Mapping) -> "OPlusDiagram":
         k, n = _int(data["k"]), _int(data["n"])
+        if n > _MAX_N:
+            raise BadRange(f"need n <= {_MAX_N}, got n={n}")
         shape, rows = tuple(map(_int, _list(data["shape"]))), tuple(_list(data["rows"]))
         if not all(isinstance(r, str) for r in rows):
             raise TypeError("each row must be a string over 0 and +")

@@ -1,8 +1,8 @@
-"""The base of the package's value types, in place of frozen dataclasses:
-``dataclasses`` imports ``inspect`` and ``exec``s six methods per class,
-which every command-line process would pay.  ``_built_many`` makes families the
-package built, unchecked; unlike ``_built`` it never touches ``__dict__``, which
-would turn CPython's inline instance values into a dict per record."""
+"""The base of the package's value types, in place of frozen dataclasses: ``dataclasses``
+imports ``inspect`` and ``exec``s six methods per class, which every command-line process
+would pay.  ``_built_many`` makes families the package built, unchecked, writing each
+class's ``_stored`` names (its ``_fields`` unless it lists others); unlike ``_built`` it never
+touches ``__dict__``, which would turn CPython's inline instance values into a dict apiece."""
 
 from itertools import repeat
 from operator import attrgetter
@@ -51,10 +51,10 @@ class Record:
 
     @classmethod
     def _built_many(cls, *columns) -> list:
-        """Unchecked records, one column of values per field (the first sized, ``repeat``
-        for a constant): a C-level map per field, so no Python code runs per record."""
+        """Unchecked records, one column of values per stored name (the first sized,
+        ``repeat`` for a constant): a C-level map each, so no Python code runs per record."""
         records = list(map(object.__new__, repeat(cls, len(columns[0]))))
-        for name, column in zip(cls._fields, columns):
+        for name, column in zip(getattr(cls, "_stored", cls._fields), columns):
             any(map(object.__setattr__, records, repeat(name), column))
         return records
 

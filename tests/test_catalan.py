@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -267,6 +268,75 @@ def collapse_tree_to_graph(tree: BinaryTree):
     for i in reversed(ops):
         g = blow_up(g, i)
     return g
+
+
+def linked(word: str) -> tuple:
+    """The tree of a Dyck word as nested (horizontal, vertical) pairs, () a leaf:
+    "+" a "-" b is (linked(a), linked(b)).  The former linked build of a tree."""
+    height = 0
+    for at, step in enumerate(word):
+        height += 1 if step == "+" else -1
+        if not height:
+            return linked(word[1:at]), linked(word[at + 1:])
+    return ()
+
+
+def linked_tree(t: tuple) -> BinaryTree:
+    return BinaryTree(linked_tree(t[0]), linked_tree(t[1])) if t else BinaryTree()
+
+
+def linked_json(t: tuple):
+    return {"horizontal": linked_json(t[0]), "vertical": linked_json(t[1])} if t else "leaf"
+
+
+def linked_str(t: tuple) -> str:
+    return f"({linked_str(t[0])} {linked_str(t[1])})" if t else "*"
+
+
+def linked_reflect(t: tuple) -> tuple:
+    return (linked_reflect(t[1]), linked_reflect(t[0])) if t else ()
+
+
+def linked_leaves(t: tuple, horizontal: bool = False) -> tuple[int, int]:
+    """Leaves, and the leaves that are horizontal children."""
+    if not t:
+        return 1, int(horizontal)
+    (a, b), (c, d) = linked_leaves(t[0], True), linked_leaves(t[1])
+    return a + c, b + d
+
+
+def linked_pair(t: tuple) -> tuple[str, str]:
+    """The word pair by recursion on the two subtrees: the former omega_TL."""
+    h, v = t
+    if not h and not v:
+        return "", ""
+    if h and not v:
+        wu, wl = linked_pair(h)
+        return "H" + wu, wl + "H"
+    if not h and v:
+        wu, wl = linked_pair(v)
+        return "V" + wu, "V" + wl
+    (au, al), (bu, bl) = linked_pair(h), linked_pair(v)
+    return "H" + au + "V" + bu, al + "H" + "V" + bl
+
+
+def test_word_walks_match_the_linked_reference():
+    trees = [t for n in range(4, 11) for k in range(n - 3) for t in enumerate_trees(n, k)]
+    assert len(trees) == sum(catalan_number(a) for a in range(1, 8))
+    for t in trees:
+        ref = linked(t.word)
+        assert json.dumps(t.to_json()) == json.dumps(linked_json(ref))
+        assert str(t) == linked_str(ref)
+        assert linked(t.reflect().word) == linked_reflect(ref)
+        pair = omega_TL(t)
+        assert (pair.wu, pair.wl) == linked_pair(ref)
+        leaves, horizontal = linked_leaves(ref)
+        assert (t.leaf_count(), t.horizontal_leaf_count(), t.n, t.k) == (
+            leaves, horizontal, leaves + 2, horizontal - 1)
+        assert tree_to_graph(t).to_json() == collapse_tree_to_graph(linked_tree(ref)).to_json()
+        checked = BinaryTree.from_json(t.to_json())
+        assert checked == t and checked.word == t.word
+        assert hash(checked) == hash(t) and repr(checked) == repr(t)
 
 
 class TestTreeToGraph:

@@ -452,6 +452,25 @@ class TestUsage:
         assert invoke(["verify", "--kind", "membership"], member("1e3")) == (
             0, '{"member": true}\n')
 
+    HUGE = json.dumps({"k": 2, "n": 10**30, "shape": [4, 4], "rows": ["++++", "++++"]})
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["verify", "--kind", "diagram"], HUGE),
+        (["convert", "--from", "diagram", "--to", "network"], HUGE),
+        (["verify", "--kind", "membership"],
+         '{"matrix": [[1, 0, 0], [0, 1, 0]], "diagram": ' + HUGE + "}"),
+        (["render", "--kind", "diagram"], HUGE),
+        (["convert", "--from", "diagram", "--to", "permutation"], HUGE),
+    ], ids=["verify", "network", "membership", "render", "permutation"])
+    def test_oversized_diagram_refused_before_its_border(self, argv, payload, capsys):
+        # n = 10**30 with a 2x4 filling: the border labels alone walk all n
+        start = time.perf_counter()
+        code, text = invoke(argv, payload)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "need n <= 100000" in err and "internal error" not in err
+
     def test_nonpositive_count_rejected(self):
         for count in ("-1", "0"):
             code, text = invoke(["sample", "--n", "6", "--k", "1", "--count", count])

@@ -207,11 +207,14 @@ def test_a_cell_sample_is_equal_only_to_itself():
 
 # the fields a package-built record stores in another form and makes on first read
 VIEWS = [(RationalMatrix, "entries"), (CellSample, "values"), (K2Classification, "d"),
-         (K2Classification, "e"), (K2Classification, "dominoes")]
+         (K2Classification, "e"), (K2Classification, "dominoes"), (BinaryTree, "horizontal"),
+         (BinaryTree, "vertical")]
 
 
 def _as_sampled(cls):
-    """A record of ``cls`` as the sampling path builds it, no field read yet."""
+    """A record of ``cls`` as the sampling path, or its family, builds it, no field read yet."""
+    if cls is BinaryTree:  # a tree stores only its word
+        return enumerate_trees(9, 2)[7]
     sample = sample_cell(le_normalize(enumerate_diagrams(7, 2, 4)[5]), rng=11)
     return {CellSample: sample, RationalMatrix: sample.matrix,
             K2Classification: standard_basis_k2(sample.matrix)}[cls]
