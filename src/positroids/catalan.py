@@ -14,7 +14,7 @@ MacMahon) are computed on integers only.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, repeat
 from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -64,7 +64,8 @@ class BinaryTree(Record):
         return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:  # the fields' hash, as for every record: __eq__ drops it
-        return hash((self.horizontal, self.vertical))
+        # hash((horizontal, vertical)) folded over the word: no child is made
+        return _fold(self.word, _Hashed(hash((None, None))), lambda h, v: _Hashed(hash((h, v))))
 
     @property
     def is_leaf(self) -> bool:
@@ -119,6 +120,11 @@ def _fold(word: str, leaf, node):
     return values[0]
 
 
+class _Hashed(int):
+    """A subtree's hash in ``BinaryTree.__hash__``'s fold, which hashes to itself."""
+    __hash__ = int.__index__  # a plain int would not: hash(h) != h beyond 2**61 - 1
+
+
 @lru_cache(maxsize=None)
 def _tree_shapes(word: str) -> BinaryTree:
     """The package-built tree of a word, which the two child views share."""
@@ -135,7 +141,7 @@ def enumerate_trees(n: int, k: int) -> list[BinaryTree]:
 def tree_to_graph(tree: BinaryTree) -> PlabicGraph:
     """Build the plabic graph of a tree by undoing leaf collapses as blow-ups."""
     # plabic on first use: only the two graph arrows need it, so other requests skip it
-    from .plabic import base_square, blow_up
+    from .plabic import PlabicGraph, _blow_up, _family
     if tree.is_leaf:
         raise BadRange("a bare leaf corresponds to no graph")
     # collapse the first cherry, a "+-" not followed by "+", until one is
@@ -147,10 +153,8 @@ def tree_to_graph(tree: BinaryTree) -> PlabicGraph:
             at = word.find("+-", at + 2)
         ops.append(2 + word.count("-", 0, at))
         word = word[:at] + word[at + 2:]
-    g = base_square()
-    for i in reversed(ops):
-        g = blow_up(g, i)
-    return g
+    # the blow-ups run on layouts from the cached square's, and one record is made at the end
+    return PlabicGraph._from_layouts(reduce(_blow_up, reversed(ops), _family(4, 2, 4)[0]))[0]
 
 
 @lru_cache(maxsize=None)
@@ -269,10 +273,7 @@ class DyckPath(Record):
 
     @property
     def heights(self) -> tuple[int, ...]:
-        out = [0]
-        for ch in self.steps:
-            out.append(out[-1] + (1 if ch == "+" else -1))
-        return tuple(out)
+        return (0, *accumulate(1 if ch == "+" else -1 for ch in self.steps))
 
     def to_json(self) -> str:
         return self.steps.replace("+", "U").replace("-", "D")
@@ -504,13 +505,8 @@ class PlanePartition(Record):
         return self.rows[r - 1][col - 1]
 
     def to_json(self) -> dict:
-        trimmed = []
-        for row in self.rows:
-            cut = list(row)
-            while cut and cut[-1] == 0:
-                cut.pop()
-            if cut:
-                trimmed.append(cut)
+        # rows weakly decrease from the top left, so their zeros trail and zero rows follow
+        trimmed = [cut for row in self.rows if (cut := [e for e in row if e])]
         return {"a": self.a, "b": self.b, "c": self.c, "rows": trimmed}
 
     @classmethod

@@ -10,6 +10,12 @@ half-edge of each vertex in ``to_json()`` key order (``_firsts``), the
 half-edge of each boundary vertex (``_bound``), and the color of each
 half-edge's owner (``_hue``: "b", "w", or "." on the boundary).  ``colors``,
 ``edges`` and ``rotation`` are fresh views on each read, never kept.
+
+A layout is the tuple ``(n, hue, ends, next, firsts, bound, low)``: the stored
+names (``PlabicGraph._stored``), then the lowest vertex id (0 if none), below
+which a surgery takes fresh ids.  The family caches keep layouts, not records:
+CPython's collector untracks a tuple of ints and strs, then a tuple of such
+tuples, one level per collection, and then never walks a cached member again.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .diagrams import OPlusDiagram, is_le_diagram
@@ -37,10 +43,11 @@ from .records import Record
 
 
 class PlabicGraph(Record):
-    """The four half-edge tuples and the ``_hue`` string of the module docstring:
-    the collector never walks a cached member, and no view writes through to it."""
+    """The four half-edge tuples and the ``_hue`` string of the module docstring,
+    made per request from a layout (``_from_layouts``): no view writes through to it."""
 
     _fields = ("n", "colors")
+    _stored = ("n", "_hue", "_ends", "_next", "_firsts", "_bound")
     _canon = None  # the canonical form, stored on first use
     _NAME = {"b": BLACK, "w": WHITE}  # a ``_hue`` character's color; "." has none
 
@@ -72,26 +79,20 @@ class PlabicGraph(Record):
             if not rotation.get(v):
                 raise ValueError(f"internal vertex {v} is isolated")
         hue = "".join(colors[v][0] if v < 0 else "." for v in ends)  # every owner is checked
-        self._store(n, hue, ends, nxt, (halves[0] for halves in rotation.values()),
-                    (rotation[b][0] for b in range(1, n + 1)))
+        firsts = tuple(halves[0] for halves in rotation.values())
+        bound = tuple(rotation[b][0] for b in range(1, n + 1))
+        for name, value in zip(self._stored, (n, hue, ends, tuple(nxt), firsts, bound)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _from_layout(cls, n, hue, ends, nxt, firsts, bound) -> "PlabicGraph":
-        """Surgery output only: the patched layout of a valid parent, valid by construction."""
-        g = object.__new__(cls)
-        g._store(n, hue, ends, nxt, firsts, bound)
-        return g
+    def _from_layouts(cls, *layouts) -> list["PlabicGraph"]:
+        """Unchecked records of package-built layouts, one column per stored name."""
+        return cls._built_many(*zip(*layouts))
 
-    def _store(self, n, hue, ends, nxt, firsts, bound) -> None:
-        # tuples: the GC untracks a tuple of ints, so cached members cost no GC walk;
-        # written out: a loop over the names took a third of each member's build
-        store = object.__setattr__
-        store(self, "n", n)
-        store(self, "_hue", hue)
-        store(self, "_ends", tuple(ends))
-        store(self, "_next", tuple(nxt))
-        store(self, "_firsts", tuple(firsts))
-        store(self, "_bound", tuple(bound))
+    @property
+    def _layout(self) -> tuple:
+        """The graph as a layout (module docstring), its ``low`` found by a scan."""
+        return (*map(self.__getattribute__, self._stored), min((0, *self._ends)))
 
     @property
     def colors(self) -> dict[int, str]:
@@ -261,24 +262,24 @@ def trip_permutation(graph: PlabicGraph) -> DecoratedPermutation:
     successor.  A wire returning to its start must come from a lollipop,
     whose color decorates the fixed point.
     """
-    images = []
-    white = set()
-    for i in range(1, graph.n + 1):
-        images.append(end := _trip_end(graph, i))
+    layout = n, hue, ends, nxt, _, bound, _ = graph._layout
+    images, white = [], set()
+    for i in range(1, n + 1):
+        images.append(end := _trip_end(layout, i))
         if end == i:
-            h = graph._bound[i - 1] ^ 1
-            if graph._ends[h] > 0 or graph._next[h] != h:  # a lollipop is its own sigma-cycle
+            h = bound[i - 1] ^ 1
+            if ends[h] > 0 or nxt[h] != h:  # a lollipop is its own sigma-cycle
                 raise NonLollipopFixedPoint(f"boundary {i} returns to itself without a lollipop")
-            if graph._hue[h] == "w":
+            if hue[h] == "w":
                 white.add(i)
-    return DecoratedPermutation(graph.n, tuple(images), frozenset(white))
+    return DecoratedPermutation(n, tuple(images), frozenset(white))
 
 
-def _trip_end(graph: PlabicGraph, b: int, back: bool = False) -> int:
+def _trip_end(layout: tuple, b: int, back: bool = False) -> int:
     """Where the trip from boundary b ends, or with ``back`` where the one into b starts.
     Forward is sigma; back walks sigma's cycle round to the arrival (sigma twice if trivalent)."""
-    ends, nxt, hue = graph._ends, graph._next, graph._hue
-    cur = graph._bound[b - 1]
+    _, hue, ends, nxt, _, bound, _ = layout
+    cur = bound[b - 1]
     while True:
         arriving = cur ^ 1
         end = ends[arriving]
@@ -302,15 +303,6 @@ def k_statistic(graph: PlabicGraph) -> int:
 # boundary surgeries
 
 
-def _relabel_boundary(graph: PlabicGraph, i: int) -> list:
-    """Shift boundary labels above i up by one in a mutable copy of the
-    half-edge owners, the labels' only store: one owner per shifted boundary."""
-    ends = list(graph._ends)
-    for b, h in enumerate(graph._bound[i:], i + 2):
-        ends[h] = b
-    return ends
-
-
 def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     """Insert a colored vertex on the edge of boundary i, feeding two
     boundaries.
@@ -318,32 +310,37 @@ def split(graph: PlabicGraph, i: int, color: str) -> PlabicGraph:
     The new vertex has clockwise rotation (far end, i, i+1); boundary
     labels above i shift up by one.
     """
-    if not 1 <= i <= graph.n:
+    return PlabicGraph._from_layouts(_split(graph._layout, i, color))[0]
+
+
+def _split(layout: tuple, i: int, color: str) -> tuple:
+    """``split`` on a layout: the new vertex takes the id below ``low``."""
+    n, hue, ends, old, firsts, bound, low = layout
+    if not 1 <= i <= n:
         raise BadBoundary(f"no boundary vertex {i}")
     if color not in (BLACK, WHITE):
         raise ValueError(f"bad color {color!r}")
-    h_i = graph._bound[i - 1]
+    h_i = bound[i - 1]
     h_far, cut = h_i ^ 1, h_i & ~1
-    ends = _relabel_boundary(graph, i)
-    v_new = min(0, *ends) - 1
-    far = ends[h_far]
+    ends = list(ends)
+    for label, h in enumerate(bound[i:], i + 2):  # the labels' only store: their owners
+        ends[h] = label
+    far, v_new = ends[h_far], low - 1
     # the old boundary edge goes and three edges are appended: later halves
     # move down by two, and the old edge's halves become the far end's and
     # boundary i's halves of the new edges
     t = len(ends) - 2
     moved = [*range(cut), 0, 0, *range(cut, t)]
     moved[h_far], moved[h_i] = t, t + 3
-    old = graph._next
-    nxt = [*map(moved.__getitem__, old[:cut] + old[cut + 2:]),
-           moved[old[h_far]], t + 2, t + 4, t + 3, t + 1, t + 5]
-    bound = [*map(moved.__getitem__, graph._bound)]
-    bound.insert(i, t + 5)
+    nxt = (*map(moved.__getitem__, old[:cut] + old[cut + 2:]),
+           moved[old[h_far]], t + 2, t + 4, t + 3, t + 1, t + 5)
+    bound = (*map(moved.__getitem__, bound),)
     del ends[cut:cut + 2]
-    ends += [far, v_new, v_new, i, v_new, i + 1]
-    hue, c = graph._hue, color[0]
+    ends += (far, v_new, v_new, i, v_new, i + 1)
+    c = color[0]
     hue = f"{hue[:cut]}{hue[cut + 2:]}{hue[h_far]}{c}{c}.{c}."
-    return PlabicGraph._from_layout(graph.n + 1, hue, ends, nxt,
-                                    [*map(moved.__getitem__, graph._firsts), t + 1, t + 5], bound)
+    return (n + 1, hue, tuple(ends), nxt, (*map(moved.__getitem__, firsts), t + 1, t + 5),
+            (*bound[:i], t + 5, *bound[i:]), v_new)
 
 
 def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
@@ -354,59 +351,65 @@ def blow_up(graph: PlabicGraph, i: int) -> PlabicGraph:
     square corner toward e is black, toward f white, at boundary i
     black, and at the new boundary i+1 white.
     """
-    if not 1 <= i <= graph.n:
+    return PlabicGraph._from_layouts(_blow_up(graph._layout, i))[0]
+
+
+def _blow_up(layout: tuple, i: int) -> tuple:
+    """``blow_up`` on a layout: fresh ids below ``low``, or below the rest if v was the lowest."""
+    n, hue, ends, nxt, firsts, bound, low = layout
+    if not 1 <= i <= n:
         raise BadBoundary(f"no boundary vertex {i}")
-    h_v = graph._bound[i - 1] ^ 1
-    v = graph._ends[h_v]
-    nxt = list(graph._next)
+    h_v = bound[i - 1] ^ 1
+    v = ends[h_v]
     h_to_e = nxt[h_v]
     h_to_f = nxt[h_to_e]
     if v > 0 or nxt[h_to_f] != h_v or h_v in (h_to_e, h_to_f):
         raise BadAttachment(f"boundary {i} is not attached to a trivalent vertex")
 
-    ends = _relabel_boundary(graph, i)
-    ends[h_to_e] = ends[h_to_f] = ends[h_v] = 0  # v goes
-    low = min(0, *ends) - 1
-    a, b, c, d = low, low - 1, low - 2, low - 3
+    ends = list(ends)
+    for label, h in enumerate(bound[i:], i + 2):  # the labels' only store: their owners
+        ends[h] = label
+    if v == low:  # v goes, so the fresh ids start below the rest
+        ends[h_to_e] = ends[h_to_f] = ends[h_v] = 0
+        low = min(0, *ends)
+    a, b, c, d = low - 1, low - 2, low - 3, low - 4
 
     # the old vertex's three edges get new ends in place, so half-edge ids
     # are kept and no edge is renumbered; the square's five edges are
     # appended, clockwise a: (e, b, d), b: (f, c, a), c: (b, i, d), d: (a, c, i+1)
     t = len(ends)
     ends[h_to_e], ends[h_to_f], ends[h_v] = a, b, c
-    ends += [a, b, b, c, c, d, d, a, d, i + 1]
-    hue = bytearray(graph._hue, "ascii") + b"bwwbbwwbw."
+    ends += (a, b, b, c, c, d, d, a, d, i + 1)
+    hue = bytearray(hue, "ascii") + b"bwwbbwwbw."
     hue[h_to_e], hue[h_to_f], hue[h_v] = b"bwb"
+    nxt = list(nxt)
     nxt[h_to_e], nxt[h_to_f], nxt[h_v] = t, t + 2, t + 4
-    nxt += [t + 7, h_to_f, t + 1, h_v, t + 3, t + 8, t + 5, h_to_e, t + 6, t + 9]
-    firsts = list(graph._firsts)
-    firsts.remove(*{h_v, h_to_e, h_to_f}.intersection(firsts))  # v's first half goes
-    firsts += [h_to_e, h_to_f, t + 3, t + 6, t + 9]
-    bound = graph._bound
-    return PlabicGraph._from_layout(graph.n + 1, hue.decode(), ends, nxt, firsts,
-                                    (*bound[:i], t + 9, *bound[i:]))
+    nxt += (t + 7, h_to_f, t + 1, h_v, t + 3, t + 8, t + 5, h_to_e, t + 6, t + 9)
+    firsts = list(firsts)  # v's first half goes: a scan for each candidate beats a set
+    firsts.remove(h_v if h_v in firsts else h_to_e if h_to_e in firsts else h_to_f)
+    firsts += (h_to_e, h_to_f, t + 3, t + 6, t + 9)
+    return (n + 1, hue.decode(), tuple(ends), tuple(nxt), tuple(firsts),
+            (*bound[:i], t + 9, *bound[i:]), d)
 
 
 # ----------------------------------------------------------------------
 # recursive families
 
 
-@cache
 def base_bridge() -> PlabicGraph:
-    """The two-point graph: a single boundary-to-boundary edge, built once."""
+    """The two-point graph: a single boundary-to-boundary edge, checked on each call."""
     return PlabicGraph(2, {}, ((1, 2),), {1: (0,), 2: (1,)})
 
 
-@cache
 def base_square() -> PlabicGraph:
-    """The four-point square with alternating colors, built once."""
+    """The four-point square with alternating colors, checked on each call."""
     adjacency = {b: (-b,) for b in range(1, 5)}  # then each corner's neighbors clockwise
     adjacency.update({-1: (1, -2, -4), -2: (-1, 2, -3), -3: (-4, -2, 3), -4: (4, -1, -3)})
     return PlabicGraph.from_neighbors(4, {-1: WHITE, -2: BLACK, -3: WHITE, -4: BLACK}, adjacency)
 
 
-_FAMILY_CACHE: dict[tuple[int, int, int], tuple[PlabicGraph, ...]] = {}
-# the unshifted trip images of each family member, in family order
+# each family's members as layouts, and their unshifted trip images, in family order
+_FAMILY_CACHE: dict[tuple[int, int, int], tuple[tuple, ...]] = {}
 _TRIPS: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
 
@@ -415,7 +418,7 @@ def enumerate_bcfw_graphs(n: int, k: int, m: int) -> list[PlabicGraph]:
 
     Members are distinct by construction (see `_family`); the trip
     permutation and build-then-dedupe tests in test_plabic_canonical.py
-    and a CI guard for n = 13, 14 check it.
+    and a CI guard for n = 13, 14 check it.  Each call makes new records.
     """
     if m == 2:
         if n < 2 or not 1 <= k <= n - 1:
@@ -425,10 +428,10 @@ def enumerate_bcfw_graphs(n: int, k: int, m: int) -> list[PlabicGraph]:
             raise BadRange(f"no m=4 graph family for n={n}, k={k}")
     else:
         raise BadRange(f"graph families exist for m in {{2, 4}}, not m={m}")
-    return list(_family(n, k, m))
+    return PlabicGraph._from_layouts(*_family(n, k, m))
 
 
-def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
+def _family(n: int, k: int, m: int) -> tuple[tuple, ...]:
     # No graph is compared here: members are distinct by construction.  An
     # m=2 member is named by its split word (boundary n sits on the last
     # split's vertex, which folds back to the parent; Pascal's rule on the
@@ -440,20 +443,20 @@ def _family(n: int, k: int, m: int) -> tuple[PlabicGraph, ...]:
         out, trips = [], []  # members, trip images
         if m == 2:
             if n == 2 and k == 1:
-                out, trips = [base_bridge()], [(2, 1)]
+                out, trips = [base_bridge()._layout], [(2, 1)]
             for kk, color in ((k, WHITE), (k - 1, BLACK)):
                 if 1 <= kk <= n - 2:
-                    out += [split(g, n - 1, color) for g in _family(n - 1, kk, 2)]
+                    out += [_split(g, n - 1, color) for g in _family(n - 1, kk, 2)]
                     trips += [_child_trips(t, n - 1, color) for t in _TRIPS[n - 1, kk, 2]]
         else:
             from .catalan import _family_plan  # on first use: only m=4 needs it
             if n == 4 and k == 2:
-                out, trips = [base_square()], [(3, 4, 1, 2)]
+                out, trips = [base_square()._layout], [(3, 4, 1, 2)]
             parents = {kk: (_family(n - 1, kk, 4), _TRIPS[n - 1, kk, 4])
                        for kk in (k, k - 1) if 2 <= kk <= n - 3}
             for kk, j, i in _family_plan(n, k)[1]:
                 graphs, images = parents[kk]
-                out.append(child := blow_up(graphs[j], i))
+                out.append(child := _blow_up(graphs[j], i))
                 trips.append(_child_trips(images[j], i, BLACK if kk == k else WHITE, child))
         _FAMILY_CACHE[key], _TRIPS[key] = tuple(out), tuple(trips)
     return _FAMILY_CACHE[key]

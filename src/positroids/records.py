@@ -16,8 +16,8 @@ class Record:
     No slots: ``_built(**state)`` may store a field in another form (ints for
     Fractions), read by a ``cached_property`` of that name, which a checked
     ``__init__`` shadows by storing the field.  ``GrassmannPoint`` may store
-    either form, so keeps a ``__getattr__``; ``PlabicGraph`` keeps its cached
-    families free of a dict apiece, storing as ``_built_many`` does."""
+    either form, so keeps a ``__getattr__``; ``PlabicGraph`` records are made from
+    layouts by ``_built_many``."""
 
     _fields: tuple[str, ...] = ()
 

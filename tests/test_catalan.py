@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from positroids import render
+from positroids import catalan, render
 from positroids.catalan import (
     BinaryTree,
     DyckPath,
@@ -337,6 +337,14 @@ def test_word_walks_match_the_linked_reference():
         checked = BinaryTree.from_json(t.to_json())
         assert checked == t and checked.word == t.word
         assert hash(checked) == hash(t) and repr(checked) == repr(t)
+
+
+def test_hashing_trees_fills_no_memo():
+    # the hash folds over the word, so no child view is made and memoised
+    trees = [t for n in range(4, 12) for k in range(n - 3) for t in enumerate_trees(n, k)]
+    before = catalan._tree_shapes.cache_info().currsize
+    assert len({hash(t) for t in trees}) == len(trees) == 2055
+    assert catalan._tree_shapes.cache_info().currsize == before
 
 
 class TestTreeToGraph:

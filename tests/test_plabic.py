@@ -92,6 +92,11 @@ class TestTrips:
         (g,) = enumerate_bcfw_graphs(3, 1, 2)
         assert trip_permutation(g).images == (2, 3, 1)
 
+    def test_empty_graph_is_refused_by_its_permutation(self):
+        # a graph with no half-edges has no lowest owner to scan for
+        with pytest.raises(ValueError, match="n must be positive"):
+            trip_permutation(PlabicGraph(0, {}, (), {}))
+
 
 class TestSurgeries:
     def test_split_bounds(self):

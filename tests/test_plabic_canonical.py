@@ -303,8 +303,8 @@ def test_cached_members_store_no_edge_pairs():
 
 
 def test_shared_graphs_cannot_be_changed():
-    # enumerate_bcfw_graphs returns the cached members themselves, and every
-    # tree_to_graph starts from the one base_square(): a write through the
+    # enumerate_bcfw_graphs makes its records from the cached layouts, and
+    # every tree_to_graph starts from the cached square: a write through the
     # colors view or to an attribute must not reach later calls
     trees = enumerate_trees(6, 1)
     requests = {
@@ -491,12 +491,67 @@ def test_anchor_colour_is_read_off_the_tree_word():
 
 def test_one_blow_up_per_kept_child(monkeypatch, cold_families):
     calls = []
-    real = plabic.blow_up
-    monkeypatch.setattr(plabic, "blow_up", lambda g, i: calls.append(i) or real(g, i))
+    real = plabic._blow_up
+    monkeypatch.setattr(plabic, "_blow_up", lambda g, i: calls.append(i) or real(g, i))
     for n, k in M4_FAMILIES:
         calls.clear()
         graphs = plabic._family(n, k, 4)
         assert len(calls) == (len(graphs) if n > 4 else 0)
+
+
+# ----------------------------------------------------------------------
+# the family caches hold layouts: untracked tuples that carry their lowest id
+
+
+def test_cached_layouts_are_untracked(cold_families):
+    # a collection untracks a tuple whose items are all untracked, and it reaches
+    # a container before what the container holds: so a fresh tuple of tuples of
+    # ints (a family of layouts) is untracked, one level each, by the third collection
+    for family in families_up_to(11):
+        enumerate_bcfw_graphs(*family)
+    for _ in range(3):
+        gc.collect()
+    for cache in (plabic._FAMILY_CACHE, plabic._TRIPS):
+        assert len(cache) == len(families_up_to(11))
+        assert not any(map(gc.is_tracked, cache.values()))
+    assert not any(gc.is_tracked(x) for members in plabic._FAMILY_CACHE.values()
+                   for x in members)
+
+
+def test_layouts_carry_their_lowest_vertex():
+    for family in families_up_to(11):
+        for member in plabic._family(*family):
+            assert member[6] == min(0, *member[2]), family
+
+
+def test_surgeries_take_the_fresh_ids_of_a_scan():
+    # a surgery takes its fresh ids below the carried low, and scans the owners
+    # only when the vertex it removes is the lowest; the oracles take theirs
+    # below a scan of every color.  Public and layout surgeries must meet them
+    lowest = 0
+    for family in families_up_to(9):
+        for g, member in zip(enumerate_bcfw_graphs(*family), plabic._family(*family)):
+            for i in range(1, g.n + 1):
+                for color in (WHITE, BLACK):
+                    oracle = layout(renumbering_split(g, i, color)[0])
+                    child = plabic._split(member, i, color)
+                    assert layout(split(g, i, color)) == oracle == child[2:6]
+                    assert child[6] == min(0, *child[2])
+                v = g.boundary_neighbor(i)
+                if v < 0 and g.degree(v) == 3:
+                    oracle = layout(reference_blow_up(g, i)[0])
+                    child = plabic._blow_up(member, i)
+                    assert layout(blow_up(g, i)) == oracle == child[2:6]
+                    assert child[6] == min(0, *child[2])
+                    lowest += v == min(g.colors)
+    assert lowest > 100
+
+
+def test_each_call_makes_equal_records():
+    for family in ((9, 4, 4), (9, 4, 2)):
+        first, second = enumerate_bcfw_graphs(*family), enumerate_bcfw_graphs(*family)
+        assert [g.to_json() for g in first] == [g.to_json() for g in second]
+        assert first == second
 
 
 # ----------------------------------------------------------------------
@@ -609,10 +664,11 @@ def test_blow_up_rule_refuses_a_trip_through_the_square_twice():
     i = next(i for i in range(2, 8) if g.degree(g.boundary_neighbor(i)) == 3)
     color = g.colors[g.boundary_neighbor(i)]
     child = blow_up(g, i)
-    assert plabic._child_trips(images, i, color, child) == trip_permutation(child).images
-    s = plabic._trip_end(child, i if color == WHITE else i + 1, back=True)
+    child_layout = child._layout
+    assert plabic._child_trips(images, i, color, child_layout) == trip_permutation(child).images
+    s = plabic._trip_end(child_layout, i if color == WHITE else i + 1, back=True)
     crafted = list(images)
     p, q = images.index(i), s - (s > i) - 1  # P and r^-1(s), counted from 0
     crafted[p], crafted[q] = crafted[q], crafted[p]
     with pytest.raises(NotReduced):
-        plabic._child_trips(tuple(crafted), i, color, child)
+        plabic._child_trips(tuple(crafted), i, color, child_layout)
